@@ -2,7 +2,7 @@
 
 from .autodiff import DiffError, SparseMatrix, Tape, Tensor, backward, grad_check
 from .config import Hyperparams, RunConfig, parse_config, serialize_config
-from .dataset import BprSampler, InteractionDataset, sample_bpr_batch, split_leave_one_out
+from .dataset import BprSampler, InteractionDataset, split_leave_one_out
 from .graphs import HeteroGraph, build_hetero_graph, load_dataset, load_edge_file
 from .model import Ablations, forward_model, init_params
 from .objectives import LossConfig, predict_scores
@@ -17,6 +17,5 @@ __all__ = [
     "SparseMatrix", "Tape", "Tensor", "backward", "build_hetero_graph",
     "evaluate", "forward_model", "generate_synthetic", "grad_check",
     "init_params", "load_dataset", "load_edge_file", "parse_config",
-    "predict_scores", "sample_bpr_batch", "serialize_config",
-    "split_leave_one_out", "train",
+    "predict_scores", "serialize_config", "split_leave_one_out", "train",
 ]

@@ -58,8 +58,12 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
-    def astype(self, dtype) -> "SparseMatrix":
-        return SparseMatrix(self.mat.astype(dtype, copy=True))
+    @property
+    def T(self) -> "SparseMatrix":
+        """The transpose, sharing this operand's two CSR arrays (no copy)."""
+        out = SparseMatrix.__new__(SparseMatrix)
+        out.mat, out.mat_t = self.mat_t, self.mat
+        return out
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -89,8 +89,7 @@ def _load_for_checkpoint(checkpoint_path: str, manifest: str | None):
     if (bundle.data.m, bundle.data.n) != (ckpt.m, ckpt.n):
         raise RuntimeError(f"dimension mismatch: checkpoint is {ckpt.m}x{ckpt.n} "
                            f"but dataset is {bundle.data.m}x{bundle.data.n}")
-    dtype = np.float64 if cfg.precision == "f64" else np.float32
-    params = {k: v.astype(dtype) for k, v in ckpt.params.items()}
+    params = {k: v.astype(cfg.dtype) for k, v in ckpt.params.items()}
     return ckpt, cfg, bundle, params
 
 

@@ -7,6 +7,8 @@ import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .model import Ablations
 from .objectives import LossConfig
 
@@ -62,6 +64,11 @@ class RunConfig:
     patience: int = 3          # 0 disables early stopping
     item_peer_cap: int = 10
 
+    @property
+    def dtype(self) -> type:
+        """Array dtype of training and evaluation, from ``precision``."""
+        return np.float64 if self.precision == "f64" else np.float32
+
     def validate(self) -> None:
         self.hyper.validate()
         self.loss.validate()
@@ -77,6 +84,8 @@ class RunConfig:
             raise ValueError("item_peer_cap must be >= 1")
 
 
+# The only listing of config keys: section -> key -> (RunConfig attribute
+# path, value type). Parsing and serialization both walk it in this order.
 _SCHEMA = {
     "data": {
         "manifest": ("manifest", str),
@@ -109,7 +118,7 @@ _SCHEMA = {
         "eval_every": ("eval_every", int),
         "patience": ("patience", int),
         "item_peer_cap": ("item_peer_cap", int),
-        "ablate": ("ablate", str),
+        "ablate": ("ablations", Ablations),
     },
 }
 
@@ -117,34 +126,43 @@ _SCHEMA = {
 def parse_config(path: str | Path) -> RunConfig:
     """Read a sectioned key=value config file; relative paths resolve next to it."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
     with path.open("r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    base: dict = {}
-    hyper: dict = {}
-    loss: dict = {}
-    ablate: list[str] = []
+        return _read_config(fh.read(), str(path), base=path.parent)
+
+
+def config_from_text(text: str) -> RunConfig:
+    """Parse a config snapshot (as stored in checkpoints); paths kept verbatim."""
+    return _read_config(text, "config snapshot", base=None)
+
+
+def _read_config(text: str, source: str, base: Path | None) -> RunConfig:
+    """The one section walk: reject unknown sections and keys, convert each
+    value by its schema type, resolve [data] paths against ``base`` when
+    given, and validate the result."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text, source=source)
+    top: dict = {}
+    nested: dict[str, dict] = {"hyper": {}, "loss": {}}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ValueError(f"{path}: unknown section [{section}]")
+            raise ValueError(f"{source}: unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
-                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-            target, conv = _SCHEMA[section][key]
-            value = conv(raw)
-            if target == "ablate":
-                ablate = [v.strip() for v in raw.split(",") if v.strip()]
-            elif target.startswith("hyper."):
-                hyper[target[6:]] = value
-            elif target.startswith("loss."):
-                loss[target[5:]] = value
+                raise ValueError(f"{source}: unknown key {key!r} in [{section}]")
+            target, kind = _SCHEMA[section][key]
+            if kind is Ablations:
+                value = Ablations.from_names([v.strip() for v in raw.split(",") if v.strip()])
             else:
-                base[target] = value
-    for key in ("manifest", "checkpoint", "metrics_csv", "epochs_jsonl"):
-        if key in base:
-            base[key] = str((path.parent / base[key]).resolve())
-    cfg = RunConfig(hyper=Hyperparams(**hyper), loss=LossConfig(**loss),
-                    ablations=Ablations.from_names(ablate), **base)
+                value = kind(raw)
+            if base is not None and section == "data":
+                value = str((base / value).resolve())
+            head, _, attr = target.partition(".")
+            if attr:
+                nested[head][attr] = value
+            else:
+                top[head] = value
+    cfg = RunConfig(hyper=Hyperparams(**nested["hyper"]), loss=LossConfig(**nested["loss"]),
+                    **top)
     cfg.validate()
     return cfg
 
@@ -152,69 +170,19 @@ def parse_config(path: str | Path) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form of a config (stable key order; round-trips exactly)."""
     parser = configparser.ConfigParser(interpolation=None)
-    values = {
-        "data": {
-            "manifest": cfg.manifest,
-            "checkpoint": cfg.checkpoint,
-            "metrics_csv": cfg.metrics_csv,
-            "epochs_jsonl": cfg.epochs_jsonl,
-        },
-        "model": {
-            "dim": cfg.hyper.dim,
-            "layers": cfg.hyper.layers,
-            "rank": cfg.hyper.rank,
-            "alpha_user": repr(cfg.hyper.alpha_user),
-            "alpha_item": repr(cfg.hyper.alpha_item),
-            "precision": cfg.precision,
-        },
-        "loss": {
-            "temperature": repr(cfg.loss.temperature),
-            "cl_user_weight": repr(cfg.loss.cl_user_weight),
-            "cl_item_weight": repr(cfg.loss.cl_item_weight),
-            "cl_weight": repr(cfg.loss.cl_weight),
-            "l2_weight": repr(cfg.loss.l2_weight),
-            "cl_negatives": cfg.loss.cl_negatives,
-        },
-        "train": {
-            "batch_size": cfg.hyper.batch_size,
-            "learning_rate": repr(cfg.hyper.learning_rate),
-            "epochs": cfg.hyper.epochs,
-            "seed": cfg.hyper.seed,
-            "top_k": cfg.top_k,
-            "eval_every": cfg.eval_every,
-            "patience": cfg.patience,
-            "item_peer_cap": cfg.item_peer_cap,
-            "ablate": ",".join(cfg.ablations.names()),
-        },
-    }
-    for section, keys in values.items():
-        parser[section] = {k: str(v) for k, v in keys.items()}
+    for section, keys in _SCHEMA.items():
+        parser[section] = {}
+        for key, (target, kind) in keys.items():
+            value = cfg
+            for attr in target.split("."):
+                value = getattr(value, attr)
+            if kind is Ablations:
+                parser[section][key] = ",".join(value.names())
+            else:
+                parser[section][key] = repr(value) if kind is float else str(value)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def config_from_text(text: str) -> RunConfig:
-    """Parse a config snapshot (as stored in checkpoints); paths kept verbatim."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
-    base: dict = {}
-    hyper: dict = {}
-    loss: dict = {}
-    ablate: list[str] = []
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            target, conv = _SCHEMA[section][key]
-            if target == "ablate":
-                ablate = [v.strip() for v in raw.split(",") if v.strip()]
-            elif target.startswith("hyper."):
-                hyper[target[6:]] = conv(raw)
-            elif target.startswith("loss."):
-                loss[target[5:]] = conv(raw)
-            else:
-                base[target] = conv(raw)
-    return RunConfig(hyper=Hyperparams(**hyper), loss=LossConfig(**loss),
-                     ablations=Ablations.from_names(ablate), **base)
 
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:

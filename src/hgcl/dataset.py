@@ -142,14 +142,3 @@ class BprSampler:
             bad = bad[self._contains(users[bad], neg[bad])]
         return users, pos, neg
 
-
-def sample_bpr_batch(dataset: InteractionDataset, batch_size: int,
-                     seed_state: np.random.Generator | int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-shot wrapper around :class:`BprSampler` for callers holding a seed
-    or an explicit generator state."""
-    sampler = BprSampler(dataset, seed=0)
-    if isinstance(seed_state, np.random.Generator):
-        sampler.rng = seed_state
-    else:
-        sampler.rng = np.random.default_rng(seed_state)
-    return sampler.next_batch(batch_size)

@@ -3,7 +3,7 @@ propagation, per-layer fusion of the auxiliary streams into the interaction
 stream, and normalized layer aggregation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .autodiff import SparseMatrix, Tape, Tensor
 
@@ -18,23 +18,15 @@ class GateParams:
 
 @dataclass
 class ViewEmbeddings:
-    """Initial, per-layer, and aggregated embeddings of all four streams.
+    """Aggregated embeddings of all four streams.
 
     Auxiliary entries are None when the corresponding graph is ablated away.
     """
 
-    e_u0: Tensor
-    e_i0: Tensor
-    e_uu0: Tensor | None
-    e_ii0: Tensor | None
-    layers_u: list[Tensor] = field(default_factory=list)
-    layers_i: list[Tensor] = field(default_factory=list)
-    layers_uu: list[Tensor] = field(default_factory=list)
-    layers_ii: list[Tensor] = field(default_factory=list)
-    e_u: Tensor | None = None
-    e_i: Tensor | None = None
-    e_uu: Tensor | None = None
-    e_ii: Tensor | None = None
+    e_u: Tensor
+    e_i: Tensor
+    e_uu: Tensor | None
+    e_ii: Tensor | None
 
 
 def self_gate(tape: Tape, e0: Tensor, gate: GateParams) -> Tensor:
@@ -68,23 +60,18 @@ def aggregate_layers(tape: Tape, e0: Tensor, layers: list[Tensor]) -> Tensor:
 class GraphOperators:
     """Sparse operators derived from a HeteroGraph in the active dtype."""
 
-    ui: SparseMatrix        # m x n, normalized
-    iu: SparseMatrix        # n x m, normalized
+    ui: SparseMatrix        # m x n, normalized; ui.T is the item side
     uu: SparseMatrix | None
     ii: SparseMatrix | None
     inc_ui: SparseMatrix    # m x n, binary incidence
-    inc_iu: SparseMatrix
 
 
 def build_graph_operators(graph, dtype, *, no_uu: bool = False, no_ii: bool = False) -> GraphOperators:
-    inc = graph.binary_ui()
     return GraphOperators(
         ui=SparseMatrix(graph.a_ui.astype(dtype)),
-        iu=SparseMatrix(graph.a_ui.T.astype(dtype)),
         uu=None if no_uu else SparseMatrix(graph.a_uu.astype(dtype)),
         ii=None if no_ii else SparseMatrix(graph.a_ii.astype(dtype)),
-        inc_ui=SparseMatrix(inc.astype(dtype)),
-        inc_iu=SparseMatrix(inc.T.astype(dtype)),
+        inc_ui=SparseMatrix(graph.binary_ui().astype(dtype)),
     )
 
 
@@ -100,37 +87,36 @@ def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, user_gate: GateParams | None,
     """
     if n_layers < 1:
         raise ValueError("need at least one propagation layer")
-    views = ViewEmbeddings(
-        e_u0=e_u0,
-        e_i0=e_i0,
-        e_uu0=self_gate(tape, e_u0, user_gate) if ops.uu is not None else None,
-        e_ii0=self_gate(tape, e_i0, item_gate) if ops.ii is not None else None,
-    )
+    e_uu0 = self_gate(tape, e_u0, user_gate) if ops.uu is not None else None
+    e_ii0 = self_gate(tape, e_i0, item_gate) if ops.ii is not None else None
+    layers_u: list[Tensor] = []
+    layers_i: list[Tensor] = []
+    layers_uu: list[Tensor] = []
+    layers_ii: list[Tensor] = []
     x_u, x_i = e_u0, e_i0
-    x_uu, x_ii = views.e_uu0, views.e_ii0
+    x_uu, x_ii = e_uu0, e_ii0
     for _ in range(n_layers):
         p_u = propagate_layer(tape, ops.ui, x_i)
-        p_i = propagate_layer(tape, ops.iu, x_u)
-        views.layers_u.append(p_u)
-        views.layers_i.append(p_i)
+        p_i = propagate_layer(tape, ops.ui.T, x_u)
+        layers_u.append(p_u)
+        layers_i.append(p_i)
         # Fusion only feeds the next layer's interaction-view input; the
         # aggregation below consumes the raw per-view propagation outputs.
         if ops.uu is not None:
             x_uu = propagate_layer(tape, ops.uu, x_uu)
-            views.layers_uu.append(x_uu)
+            layers_uu.append(x_uu)
             x_u = fuse_views(tape, p_u, x_uu)
         else:
             x_u = p_u
         if ops.ii is not None:
             x_ii = propagate_layer(tape, ops.ii, x_ii)
-            views.layers_ii.append(x_ii)
+            layers_ii.append(x_ii)
             x_i = fuse_views(tape, p_i, x_ii)
         else:
             x_i = p_i
-    views.e_u = aggregate_layers(tape, e_u0, views.layers_u)
-    views.e_i = aggregate_layers(tape, e_i0, views.layers_i)
-    if ops.uu is not None:
-        views.e_uu = aggregate_layers(tape, views.e_uu0, views.layers_uu)
-    if ops.ii is not None:
-        views.e_ii = aggregate_layers(tape, views.e_ii0, views.layers_ii)
-    return views
+    return ViewEmbeddings(
+        e_u=aggregate_layers(tape, e_u0, layers_u),
+        e_i=aggregate_layers(tape, e_i0, layers_i),
+        e_uu=aggregate_layers(tape, e_uu0, layers_uu) if ops.uu is not None else None,
+        e_ii=aggregate_layers(tape, e_ii0, layers_ii) if ops.ii is not None else None,
+    )

@@ -35,12 +35,11 @@ def _parse_lines(path: str | Path, n_fields: int = 2):
             yield lineno, values
 
 
-def load_edge_file(path: str | Path, kind: str) -> tuple[list[tuple[int, int]], int, int]:
-    """Read a tab-separated edge file and return (edges, src_range, dst_range).
+def load_edge_file(path: str | Path, kind: str) -> list[tuple[int, int]]:
+    """Read a tab-separated edge file and return its sorted edge list.
 
     Edges are deduplicated; for the homogeneous kinds (social, item-relation)
-    the pair set is symmetrized and self-loops dropped. Ranges are max id + 1
-    as observed in the file.
+    the pair set is symmetrized and self-loops dropped.
     """
     if kind not in EDGE_KINDS:
         raise ValueError(f"unknown edge kind {kind!r}; expected one of {EDGE_KINDS}")
@@ -61,10 +60,7 @@ def load_edge_file(path: str | Path, kind: str) -> tuple[list[tuple[int, int]], 
         raise EdgeFileError(f"{path}: no edges")
     if self_loops:
         log.warning("%s: dropped %d self-loop line(s)", path, self_loops)
-    edges = sorted(pairs)
-    src_range = max(e[0] for e in edges) + 1
-    dst_range = max(e[1] for e in edges) + 1
-    return edges, src_range, dst_range
+    return sorted(pairs)
 
 
 def load_category_file(path: str | Path) -> dict[int, set[int]]:
@@ -133,12 +129,11 @@ def build_item_relations(item_category: dict[int, int | set[int]], n_items: int,
     return sorted(pairs)
 
 
-def normalize_adjacency(edges: list[tuple[int, int]], m: int, n: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+def normalize_adjacency(edges: list[tuple[int, int]], m: int, n: int) -> sp.csr_matrix:
     """Build the symmetric-degree-normalized CSR matrix for an edge list.
 
     Weight of edge (s, t) is 1/sqrt(deg(s) * deg(t)) with degrees taken from
-    the edge list itself; zero-degree rows stay empty. Returns the matrix and
-    the (src, dst) degree vectors.
+    the edge list itself; zero-degree rows stay empty.
     """
     src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
     dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
@@ -152,20 +147,16 @@ def normalize_adjacency(edges: list[tuple[int, int]], m: int, n: int) -> tuple[s
     weights = 1.0 / (np.sqrt(deg_src[src].astype(np.float64)) * np.sqrt(deg_dst[dst].astype(np.float64)))
     mat = sp.csr_matrix((weights, (src, dst)), shape=(m, n))
     mat.sort_indices()
-    return mat, deg_src, deg_dst
+    return mat
 
 
 @dataclass(frozen=True)
 class HeteroGraph:
-    """The three normalized views plus their degree vectors. Immutable."""
+    """The three normalized views. Immutable."""
 
     a_ui: sp.csr_matrix
     a_uu: sp.csr_matrix
     a_ii: sp.csr_matrix
-    deg_u: np.ndarray
-    deg_i: np.ndarray
-    deg_uu: np.ndarray
-    deg_ii: np.ndarray
 
     @property
     def m(self) -> int:
@@ -189,11 +180,9 @@ class HeteroGraph:
 
 def build_hetero_graph(ui_edges: list[tuple[int, int]], uu_edges: list[tuple[int, int]],
                        ii_edges: list[tuple[int, int]], m: int, n: int) -> HeteroGraph:
-    a_ui, deg_u, deg_i = normalize_adjacency(ui_edges, m, n)
-    a_uu, deg_uu, _ = normalize_adjacency(uu_edges, m, m)
-    a_ii, deg_ii, _ = normalize_adjacency(ii_edges, n, n)
-    return HeteroGraph(a_ui=a_ui, a_uu=a_uu, a_ii=a_ii,
-                       deg_u=deg_u, deg_i=deg_i, deg_uu=deg_uu, deg_ii=deg_ii)
+    return HeteroGraph(a_ui=normalize_adjacency(ui_edges, m, n),
+                       a_uu=normalize_adjacency(uu_edges, m, m),
+                       a_ii=normalize_adjacency(ii_edges, n, n))
 
 
 # -- manifest + id remapping -------------------------------------------------
@@ -251,8 +240,8 @@ def _dense_map(ids: set[int]) -> tuple[np.ndarray, dict[int, int]]:
 def load_dataset(manifest_path: str | Path, item_peer_cap: int = 10, seed: int = 0) -> LoadedData:
     """Load all files named by a manifest and remap external ids to dense ones."""
     man = read_manifest(manifest_path)
-    ui_raw, _, _ = load_edge_file(man["interactions"], "interaction")
-    uu_raw, _, _ = load_edge_file(man["social"], "social")
+    ui_raw = load_edge_file(man["interactions"], "interaction")
+    uu_raw = load_edge_file(man["social"], "social")
 
     users = {e[0] for e in ui_raw} | {e[0] for e in uu_raw} | {e[1] for e in uu_raw}
     items = {e[1] for e in ui_raw}
@@ -263,7 +252,7 @@ def load_dataset(manifest_path: str | Path, item_peer_cap: int = 10, seed: int =
         categories = load_category_file(man["item_categories"])
         items |= set(categories)
     else:
-        ii_raw, _, _ = load_edge_file(man["item_relations"], "item-relation")
+        ii_raw = load_edge_file(man["item_relations"], "item-relation")
         items |= {e[0] for e in ii_raw} | {e[1] for e in ii_raw}
 
     if man["m"] < len(users):

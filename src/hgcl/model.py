@@ -101,8 +101,6 @@ class ForwardCache:
     views: ViewEmbeddings
     transforms_user: PersonalTransforms | None
     transforms_item: PersonalTransforms | None
-    e_uu_m: Tensor | None
-    e_ii_m: Tensor | None
     e_u_final: Tensor
     e_i_final: Tensor
     bpr: Tensor | None = None
@@ -139,7 +137,7 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
                                    _mlp(leaves, "user_mlp2"), dim, rank)
         e_uu_m = apply_transform(tape, tr_u, views.e_uu, leaves["user_transfer_slope"])
     if ops.ii is not None and not abl.no_meta:
-        m_ii = extract_meta_knowledge(tape, views.e_i, views.e_ii, ops.inc_iu, views.e_u)
+        m_ii = extract_meta_knowledge(tape, views.e_i, views.e_ii, ops.inc_ui.T, views.e_u)
         tr_i = generate_transforms(tape, m_ii, _mlp(leaves, "item_mlp1"),
                                    _mlp(leaves, "item_mlp2"), dim, rank)
         e_ii_m = apply_transform(tape, tr_i, views.e_ii, leaves["item_transfer_slope"])
@@ -154,7 +152,6 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
         e_i_final = views.e_i
 
     cache = ForwardCache(views=views, transforms_user=tr_u, transforms_item=tr_i,
-                         e_uu_m=e_uu_m, e_ii_m=e_ii_m,
                          e_u_final=e_u_final, e_i_final=e_i_final)
     if batch is None:
         return cache

@@ -7,6 +7,9 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 
+# Largest side for which cl_negatives=auto contrasts against the full node set.
+FULL_NEGATIVES_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -16,7 +19,6 @@ class LossConfig:
     cl_weight: float = 0.3        # weight of the whole contrastive loss
     l2_weight: float = 1e-4
     cl_negatives: str = "auto"    # auto | full | batch
-    full_negatives_limit: int = 4096
 
     def validate(self) -> None:
         if not self.temperature > 0:
@@ -32,7 +34,7 @@ class LossConfig:
             return True
         if self.cl_negatives == "batch":
             return False
-        return side_count <= self.full_negatives_limit
+        return side_count <= FULL_NEGATIVES_LIMIT
 
 
 def predict_scores(e_user: np.ndarray, e_item: np.ndarray,

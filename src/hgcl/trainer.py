@@ -124,8 +124,7 @@ def load_bundle(cfg: RunConfig, manifest: str | None = None) -> RunBundle:
     graph = build_hetero_graph(data.ui_edges, data.uu_edges, data.ii_edges, data.m, data.n)
     split_seed, _, _ = np.random.SeedSequence(cfg.hyper.seed).spawn(3)
     dataset = split_leave_one_out(data.ui_edges, data.m, data.n, seed=split_seed)
-    dtype = np.float64 if cfg.precision == "f64" else np.float32
-    ops = build_graph_operators(graph, dtype, no_uu=cfg.ablations.no_uu,
+    ops = build_graph_operators(graph, cfg.dtype, no_uu=cfg.ablations.no_uu,
                                 no_ii=cfg.ablations.no_ii)
     return RunBundle(data=data, graph=graph, dataset=dataset, ops=ops)
 
@@ -152,10 +151,9 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
     abl = cfg.ablations
     bundle = load_bundle(cfg)
     dataset, ops = bundle.dataset, bundle.ops
-    dtype = np.float64 if cfg.precision == "f64" else np.float32
 
     _, init_seed, sampler_seed = np.random.SeedSequence(hp.seed).spawn(3)
-    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, init_seed, dtype)
+    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, init_seed, cfg.dtype)
     train_keys = trainable_keys(params, abl)
     opt_params = {k: params[k] for k in train_keys}
     state = AdamState()

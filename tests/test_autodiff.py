@@ -163,9 +163,32 @@ def test_spmm_matches_dense_oracle(seed):
     n_rows, n_cols = rng.integers(5, 50, size=2)
     mat = sp.random(n_rows, n_cols, density=0.3, random_state=seed, format="csr")
     x = rng.normal(size=(n_cols, 8))
+    adj = SparseMatrix(mat)
     tape = Tape()
-    out = tape.spmm(SparseMatrix(mat), tape.leaf(x))
+    out = tape.spmm(adj, tape.leaf(x))
     assert np.abs(out.value - mat.toarray() @ x).max() < 1e-10
+
+    # The transpose swaps the cached CSR pair and acts as the dense transpose,
+    # forward and backward.
+    adj_t = adj.T
+    assert adj_t.shape == (n_cols, n_rows)
+    assert adj_t.T.mat is adj.mat and adj_t.T.mat_t is adj.mat_t
+    y = rng.normal(size=(n_rows, 8))
+    g = rng.normal(size=(n_cols, 8))
+    tape = Tape()
+    y_leaf = tape.leaf(y, trainable=True)
+    out_t = tape.spmm(adj_t, y_leaf)
+    loss = tape.sum_all(tape.mul(out_t, tape.leaf(g)))
+    tape.finalize()
+    backward(tape, loss)
+    assert np.abs(out_t.value - mat.toarray().T @ y).max() < 1e-10
+    assert np.abs(y_leaf.grad - mat.toarray() @ g).max() < 1e-10
+
+    def build(tp, t):
+        h = tp.spmm(adj_t, t["y"])
+        return tp.sum_all(tp.mul(h, h))
+
+    assert grad_check(build, {"y": y}, max_coords=64) < 1e-6
 
 
 def test_lowrank_matches_per_row_loop_oracle():

@@ -42,6 +42,44 @@ patience = 3
 item_peer_cap = 10
 """
 
+# serialize_config's exact text for SAMPLE, paths kept verbatim. Checkpoints
+# embed this text, so the format must not drift from snapshots already stored.
+SAMPLE_SERIALIZED = (
+    "[data]\n"
+    "manifest = data/manifest.txt\n"
+    "checkpoint = out/model.ckpt\n"
+    "metrics_csv = out/metrics.csv\n"
+    "epochs_jsonl = out/epochs.jsonl\n"
+    "\n"
+    "[model]\n"
+    "dim = 16\n"
+    "layers = 2\n"
+    "rank = 3\n"
+    "alpha_user = 0.9\n"
+    "alpha_item = 0.7\n"
+    "precision = f64\n"
+    "\n"
+    "[loss]\n"
+    "temperature = 0.25\n"
+    "cl_user_weight = 1.0\n"
+    "cl_item_weight = 0.5\n"
+    "cl_weight = 0.3\n"
+    "l2_weight = 0.0001\n"
+    "cl_negatives = full\n"
+    "\n"
+    "[train]\n"
+    "batch_size = 512\n"
+    "learning_rate = 0.01\n"
+    "epochs = 20\n"
+    "seed = 7\n"
+    "top_k = 10\n"
+    "eval_every = 5\n"
+    "patience = 3\n"
+    "item_peer_cap = 10\n"
+    "ablate = \n"
+    "\n"
+)
+
 
 def test_parse_config_maps_every_field(tmp_path):
     path = tmp_path / "run.cfg"
@@ -64,6 +102,7 @@ def test_serialize_round_trips_exactly(tmp_path):
     again = config_from_text(text)
     assert again == cfg
     assert serialize_config(again) == text
+    assert serialize_config(config_from_text(SAMPLE)) == SAMPLE_SERIALIZED
 
 
 def test_unknown_keys_and_sections_rejected(tmp_path):
@@ -74,6 +113,19 @@ def test_unknown_keys_and_sections_rejected(tmp_path):
     path.write_text("[nonsense]\nx = 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown section"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[nonsense]\nx = 1\n", "unknown section"),
+    ("[model]\nwidth = 4\n", "unknown key"),
+    ("[model]\ndim = 4\nrank = 4\n", "rank"),
+    ("[model]\nprecision = f16\n", "precision"),
+], ids=["section", "key", "rank", "precision"])
+def test_config_snapshot_is_checked_like_a_file(text, match):
+    # Checkpoints carry their config as text; a corrupt or hand-edited
+    # snapshot must fail with the same named errors as a config file.
+    with pytest.raises(ValueError, match=match):
+        config_from_text(text)
 
 
 def test_rank_must_stay_below_dim():
@@ -131,5 +183,6 @@ def test_negatives_mode_auto_threshold():
 
 def test_serialized_config_survives_ablations():
     cfg = replace(RunConfig(), ablations=Ablations.from_names(["cl", "ii"]))
-    again = config_from_text(serialize_config(cfg))
-    assert again.ablations == cfg.ablations
+    text = serialize_config(cfg)
+    assert "\nablate = cl,ii\n" in text
+    assert config_from_text(text).ablations == cfg.ablations

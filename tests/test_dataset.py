@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from hgcl.dataset import (BprSampler, activity_groups, sample_bpr_batch,
-                          split_leave_one_out)
+from hgcl.dataset import BprSampler, activity_groups, split_leave_one_out
 
 
 def grid_interactions(m, deg, n):
@@ -92,7 +91,7 @@ def test_sampler_on_single_edge_pool():
     ds = split_leave_one_out([(0, 1), (0, 2)], m=1, n=120, seed=0)
     # Force the known train item for a closed-form check.
     train_item = ds.train_edges[0, 1]
-    users, pos, neg = sample_bpr_batch(ds, 64, np.random.default_rng(0))
+    users, pos, neg = BprSampler(ds, seed=0).next_batch(64)
     assert set(users.tolist()) == {0}
     assert set(pos.tolist()) == {int(train_item)}
     assert all((0, int(i)) not in set(map(tuple, ds.train_edges)) for i in neg)

@@ -49,14 +49,14 @@ def test_gating_never_grows_magnitudes(e, w, b):
 
 
 def test_propagate_single_edge_copies_neighbor():
-    mat, _, _ = normalize_adjacency([(0, 0)], 1, 1)
+    mat = normalize_adjacency([(0, 0)], 1, 1)
     tape = Tape()
     out = propagate_layer(tape, SparseMatrix(mat), tape.leaf(np.array([[1.0, 0.0]])))
     np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-15)
 
 
 def test_propagate_two_degree_one_neighbors():
-    mat, _, _ = normalize_adjacency([(0, 0), (0, 1)], 1, 2)
+    mat = normalize_adjacency([(0, 0), (0, 1)], 1, 2)
     tape = Tape()
     out = propagate_layer(tape, SparseMatrix(mat),
                           tape.leaf(np.array([[1.0, 0.0], [0.0, 1.0]])))
@@ -67,7 +67,7 @@ def test_propagate_two_degree_one_neighbors():
 def test_propagate_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     edges = sorted({(int(rng.integers(30)), int(rng.integers(40))) for _ in range(150)})
-    mat, _, _ = normalize_adjacency(edges, 30, 40)
+    mat = normalize_adjacency(edges, 30, 40)
     x = rng.normal(size=(40, 8))
     tape = Tape()
     out = propagate_layer(tape, SparseMatrix(mat), tape.leaf(x))

@@ -18,14 +18,13 @@ def write(tmp_path, name, text):
 
 def test_interaction_file_is_deduplicated(tmp_path):
     path = write(tmp_path, "e.tsv", "0\t5\n0\t5\n1\t3\n")
-    edges, m, n = load_edge_file(path, "interaction")
+    edges = load_edge_file(path, "interaction")
     assert set(edges) == {(0, 5), (1, 3)}
-    assert m >= 2 and n >= 6
 
 
 def test_social_file_is_symmetrized(tmp_path):
     path = write(tmp_path, "s.tsv", "2\t7\n")
-    edges, _, _ = load_edge_file(path, "social")
+    edges = load_edge_file(path, "social")
     assert set(edges) == {(2, 7), (7, 2)}
 
 
@@ -43,13 +42,13 @@ def test_empty_file_is_an_error(tmp_path):
 
 def test_comments_and_extra_fields_are_tolerated(tmp_path):
     path = write(tmp_path, "e.tsv", "# header\n0\t1\t4.5\textra\n\n2\t3\n")
-    edges, _, _ = load_edge_file(path, "interaction")
+    edges = load_edge_file(path, "interaction")
     assert set(edges) == {(0, 1), (2, 3)}
 
 
 def test_social_self_loops_dropped(tmp_path):
     path = write(tmp_path, "s.tsv", "1\t1\n1\t2\n")
-    edges, _, _ = load_edge_file(path, "social")
+    edges = load_edge_file(path, "social")
     assert set(edges) == {(1, 2), (2, 1)}
 
 
@@ -119,7 +118,7 @@ def test_normalization_weights(deg_u, deg_i, expected):
     edges = [(0, 0)]
     edges += [(0, j + 1) for j in range(deg_u - 1)]
     edges += [(j + 1, 0) for j in range(deg_i - 1)]
-    mat, _, _ = normalize_adjacency(edges, deg_i, deg_u)
+    mat = normalize_adjacency(edges, deg_i, deg_u)
     assert abs(mat[0, 0] - expected) < 1e-12
 
 
@@ -135,7 +134,10 @@ def test_out_of_range_index_rejected():
                 min_size=1, max_size=40))
 def test_weights_reconstruct_to_one(pairs):
     edges = sorted(set(pairs))
-    mat, deg_src, deg_dst = normalize_adjacency(edges, 10, 10)
+    mat = normalize_adjacency(edges, 10, 10)
+    src, dst = np.array(edges).T
+    deg_src = np.bincount(src, minlength=10)
+    deg_dst = np.bincount(dst, minlength=10)
     coo = mat.tocoo()
     recon = coo.data * np.sqrt(deg_src[coo.row]) * np.sqrt(deg_dst[coo.col])
     assert np.all(np.abs(recon - 1.0) < 1e-12)
@@ -151,13 +153,15 @@ def test_symmetrized_views_are_symmetric(pairs):
             sym.add((b, a))
     if not sym:
         return
-    mat, _, _ = normalize_adjacency(sorted(sym), 8, 8)
+    mat = normalize_adjacency(sorted(sym), 8, 8)
     diff = (mat - mat.T).toarray()
     assert np.abs(diff).max() < 1e-15
 
 
 def test_zero_degree_rows_are_empty():
-    mat, deg_src, _ = normalize_adjacency([(0, 0)], 3, 2)
+    edges = [(0, 0)]
+    mat = normalize_adjacency(edges, 3, 2)
+    deg_src = np.bincount([s for s, _ in edges], minlength=3)
     assert deg_src[1] == 0 and deg_src[2] == 0
     assert mat[1].nnz == 0 and mat[2].nnz == 0
 

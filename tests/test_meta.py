@@ -10,7 +10,7 @@ from hgcl.meta import (MetaMLP, apply_transform, extract_meta_knowledge,
 
 
 def binary_incidence(edges, m, n):
-    mat, _, _ = normalize_adjacency(edges, m, n)
+    mat = normalize_adjacency(edges, m, n)
     mat = mat.copy()
     mat.data = np.ones_like(mat.data)
     return SparseMatrix(mat)

@@ -108,7 +108,7 @@ def test_no_meta_zeroes_transfer_path():
     graph, params, ops = tiny_setup()
     batch = batch_for(6, 8, 16)
     _, _, cache = run_forward(params, ops, abl=Ablations(no_meta=True), batch=batch)
-    assert cache.transforms_user is None and cache.e_uu_m is None
+    assert cache.transforms_user is None
     # final fusion falls back to view + bare auxiliary
     manual = 0.8 * cache.views.e_u.value + 0.2 * cache.views.e_uu.value
     np.testing.assert_allclose(cache.e_u_final.value, manual, atol=1e-15)
@@ -119,7 +119,7 @@ def test_no_uu_drops_user_auxiliary_entirely():
     ops = build_graph_operators(graph, np.float64, no_uu=True)
     batch = batch_for(6, 8, 16)
     _, _, cache = run_forward(params, ops, abl=Ablations(no_uu=True), batch=batch)
-    assert cache.views.e_uu is None and cache.e_uu_m is None
+    assert cache.views.e_uu is None
     assert cache.cl_user is None and cache.cl_item is not None
     np.testing.assert_array_equal(cache.e_u_final.value, cache.views.e_u.value)
 
