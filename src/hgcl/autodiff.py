@@ -16,7 +16,7 @@ import scipy.sparse as sp
 log = logging.getLogger(__name__)
 
 # Rows with L2 norm below this floor are passed through unchanged by
-# row_l2_normalize and treated as similarity 0 by cosine_sim_matrix.
+# row_l2_normalize and treated as similarity 0 by infonce_rows.
 NORM_FLOOR = 1e-12
 
 
@@ -281,57 +281,46 @@ class Tape:
 
         return self._emit("row_l2_normalize", y, (x,), vjp)
 
-    def logsumexp_rows(self, x: Tensor) -> Tensor:
-        if x.value.ndim != 2:
-            raise ValueError("logsumexp_rows expects a 2-d tensor")
-        xv = x.value
-        mx = xv.max(axis=1)
-        z = np.exp(xv - mx[:, None])
-        s = z.sum(axis=1)
-        softmax = z / s[:, None]
-
-        def vjp(g):
-            return (softmax * g[:, None],)
-
-        return self._emit("logsumexp_rows", mx + np.log(s), (x,), vjp)
-
-    def take_diag(self, x: Tensor) -> Tensor:
-        if x.value.ndim != 2 or x.value.shape[0] != x.value.shape[1]:
-            raise ValueError("take_diag expects a square 2-d tensor")
-        n = x.value.shape[0]
-        rng = np.arange(n)
-
-        def vjp(g):
-            buf = np.zeros((n, n), dtype=g.dtype)
-            buf[rng, rng] = g
-            return (buf,)
-
-        return self._emit("take_diag", x.value[rng, rng].copy(), (x,), vjp)
-
-    def cosine_sim_matrix(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
-            raise ValueError(f"cosine_sim_matrix: incompatible shapes {a.shape}, {b.shape}")
-        av, bv = a.value, b.value
+    def infonce_rows(self, anchors: Tensor, targets: Tensor, temperature: float) -> Tensor:
+        """Per-anchor InfoNCE ``logsumexp_j(C_ij / t) - C_ii / t`` over the cosine
+        matrix ``C`` of anchor rows against target rows, aligned pairs on its
+        diagonal. The VJP is ``(softmax - I) / t`` through the normalisation."""
+        av, bv = anchors.value, targets.value
+        if av.ndim != 2 or av.shape != bv.shape:
+            raise ValueError(f"infonce_rows: incompatible shapes {anchors.shape}, {targets.shape}")
+        inv_tau = float(1.0 / temperature)
         na = np.sqrt((av * av).sum(axis=1))
         nb = np.sqrt((bv * bv).sum(axis=1))
         za, zb = na < NORM_FLOOR, nb < NORM_FLOOR
         if za.any() or zb.any():
-            log.warning("cosine_sim_matrix: %d/%d near-zero rows treated as similarity 0",
+            log.warning("infonce_rows: %d/%d near-zero rows treated as similarity 0",
                         int(za.sum()), int(zb.sum()))
         inv_a = np.where(za, 0.0, 1.0 / np.where(za, 1.0, na))
         inv_b = np.where(zb, 0.0, 1.0 / np.where(zb, 1.0, nb))
         ah = av * inv_a[:, None]
         bh = bv * inv_b[:, None]
         c = ah @ bh.T
+        rng = np.arange(av.shape[0])
+        # The logits buffer becomes the row softmax in place, after its
+        # diagonal and row maxima are read.
+        softmax = c * inv_tau
+        diag = softmax[rng, rng]
+        mx = softmax.max(axis=1)
+        softmax -= mx[:, None]
+        np.exp(softmax, out=softmax)
+        s = softmax.sum(axis=1)
+        softmax /= s[:, None]
 
         def vjp(g):
-            gc_row = (g * c).sum(axis=1)
-            gc_col = (g * c).sum(axis=0)
-            da = (g @ bh - ah * gc_row[:, None]) * inv_a[:, None]
-            db = (g.T @ ah - bh * gc_col[:, None]) * inv_b[:, None]
+            gs = softmax * g[:, None]
+            gs[rng, rng] -= g
+            gs *= inv_tau
+            gc = gs * c
+            da = (gs @ bh - ah * gc.sum(axis=1)[:, None]) * inv_a[:, None]
+            db = (gs.T @ ah - bh * gc.sum(axis=0)[:, None]) * inv_b[:, None]
             return (da, db)
 
-        return self._emit("cosine_sim_matrix", c, (a, b), vjp)
+        return self._emit("infonce_rows", mx + np.log(s) - diag, (anchors, targets), vjp)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -355,8 +344,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for t, g in zip(inputs, grads):
             if not t.produced and not t.trainable:
                 continue
-            if np.isnan(g).any():
-                raise DiffError(f"NaN gradient produced by primitive '{op}'")
+            if not np.isfinite(g).all():
+                raise DiffError(f"non-finite gradient produced by primitive '{op}'")
             if t.grad is None:
                 t.grad = np.array(g, dtype=g.dtype)
             else:

@@ -8,6 +8,7 @@ save/load round trip is bit-identical.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +60,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         parts.append(struct.pack("<B", arr64.ndim))
         parts.append(struct.pack(f"<{arr64.ndim}Q", *arr64.shape) if arr64.ndim else b"")
         parts.append(arr64.tobytes())
-    path.write_bytes(b"".join(parts))
+    # Write beside the target and rename over it, so a crash mid-write leaves
+    # the previous checkpoint intact.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the write failed
 
 
 class _Reader:

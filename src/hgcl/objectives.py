@@ -69,9 +69,7 @@ def infonce_loss(tape: Tape, anchors: Tensor, targets: Tensor,
     if candidates is not None:
         anchors = tape.gather_rows(anchors, candidates)
         targets = tape.gather_rows(targets, candidates)
-    sims = tape.scale(tape.cosine_sim_matrix(anchors, targets), 1.0 / temperature)
-    per_anchor = tape.sub(tape.logsumexp_rows(sims), tape.take_diag(sims))
-    return tape.sum_all(per_anchor)
+    return tape.sum_all(tape.infonce_rows(anchors, targets, temperature))
 
 
 def bpr_loss(tape: Tape, pos_scores: Tensor, neg_scores: Tensor,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, backward
+from .autodiff import DiffError, Tape, backward
 from .checkpoint import Checkpoint, save_checkpoint
 from .config import RunConfig, serialize_config
 from .dataset import BprSampler, InteractionDataset, split_leave_one_out
@@ -189,15 +189,15 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
                 cache = forward_model(tape, leaves, ops, hp.dim, hp.rank, hp.layers,
                                       hp.alpha_user, hp.alpha_item, cfg.loss, abl,
                                       batch=batch)
-            except FloatingPointError as exc:
+                tape.finalize()
+                backward(tape, cache.loss)
+                grads = {k: leaves[k].grad for k in opt_params}
+                adam_step(opt_params, grads, state, hp.learning_rate)
+            except (FloatingPointError, DiffError) as exc:
                 if write_outputs:
                     save_checkpoint(make_checkpoint(last_good), cfg.checkpoint)
                 raise RuntimeError(f"aborted at epoch {epoch}: {exc}; "
                                    "last-good checkpoint saved") from exc
-            tape.finalize()
-            backward(tape, cache.loss)
-            grads = {k: leaves[k].grad for k in opt_params}
-            adam_step(opt_params, grads, state, hp.learning_rate)
             totals["loss"] += float(cache.loss.value)
             totals["bpr"] += float(cache.bpr.value)
             totals["cl_user"] += float(cache.cl_user.value) if cache.cl_user is not None else 0.0

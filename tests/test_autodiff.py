@@ -1,5 +1,9 @@
 """Tape engine tests: primitive correctness against finite differences and
 dense oracles, plus the tape's error contract."""
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -75,9 +79,7 @@ def test_composite_graph_matches_finite_differences():
         cat = tape.concat_columns(h, h)            # (5, 6)
         low = tape.lowrank_apply(tape.reshape_rows(w1, (6, 2)),
                                  tape.reshape_rows(w2, (2, 6)), cat)
-        sims = tape.cosine_sim_matrix(low, low)
-        scaled = tape.scale(sims, 3.0)
-        per_row = tape.sub(tape.logsumexp_rows(scaled), tape.take_diag(scaled))
+        per_row = tape.infonce_rows(low, low, 1 / 3)
         picked = tape.gather_rows(low, idx)
         extra = tape.row_sum(tape.mul(picked, picked))
         return tape.add(tape.sum_all(per_row), tape.sum_all(tape.softplus(extra)))
@@ -103,8 +105,11 @@ PRIMITIVE_BUILDERS = {
     "sigmoid": lambda t, a, b: t.sigmoid(a),
     "softplus": lambda t, a, b: t.softplus(a),
     "row_l2_normalize": lambda t, a, b: t.row_l2_normalize(a),
-    "logsumexp_rows": lambda t, a, b: t.logsumexp_rows(a),
-    "cosine_sim_matrix": lambda t, a, b: t.cosine_sim_matrix(a, b),
+    # The fused InfoNCE op replaced the cosine and log-sum-exp primitives and
+    # keeps their case ids: w.r.t. anchors as "cosine_sim_matrix", w.r.t.
+    # targets as "logsumexp_rows".
+    "cosine_sim_matrix": lambda t, a, b: t.infonce_rows(a, b, 0.5),
+    "logsumexp_rows": lambda t, a, b: t.infonce_rows(b, a, 0.5),
     "concat_columns": lambda t, a, b: t.concat_columns(a, b),
     "row_sum": lambda t, a, b: t.row_sum(a),
 }
@@ -143,16 +148,17 @@ def test_prelu_and_gather_finite_difference(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_lowrank_and_diag_finite_difference(seed):
     rng = np.random.default_rng(200 + seed)
-    mask = rng.normal(size=(5, 5))
+    offset = rng.normal(size=(5, 4))
 
     def build(tape, ts):
         y = tape.lowrank_apply(ts["w1"], ts["w2"], ts["x"])
-        sims = tape.cosine_sim_matrix(y, y)
-        weighted = tape.mul(sims, tape.leaf(mask))
-        return tape.add(tape.sum_all(weighted),
-                        tape.sum_all(tape.take_diag(sims)))
+        per_row = tape.infonce_rows(y, tape.add(y, tape.leaf(offset)), 1.0)
+        return tape.sum_all(per_row)
 
-    inputs = {"w1": rng.uniform(-2, 2, (5, 4, 2)), "w2": rng.uniform(-2, 2, (5, 2, 4)),
+    # Small factors keep the rows of y short, so the cosine gradients stay
+    # well above the central differences' rounding noise.
+    inputs = {"w1": rng.uniform(-0.25, 0.25, (5, 4, 2)),
+              "w2": rng.uniform(-0.25, 0.25, (5, 2, 4)),
               "x": rng.uniform(-2, 2, (5, 4))}
     assert grad_check(build, inputs, max_coords=None) < 1e-6
 
@@ -191,6 +197,53 @@ def test_spmm_matches_dense_oracle(seed):
     assert grad_check(build, {"y": y}, max_coords=64) < 1e-6
 
 
+def test_infonce_rows_matches_dense_closed_form():
+    # Values and gradients against the closed form written out in numpy, with
+    # one zero-norm anchor row (similarity 0, zero gradient) among the inputs.
+    rng = np.random.default_rng(11)
+    n, d, tau = 9, 5, 0.3
+    a = rng.normal(size=(n, d))
+    b = rng.normal(size=(n, d))
+    a[4] = 0.0
+    weights = rng.uniform(0.5, 2.0, n)
+    tape = Tape()
+    a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
+    rows = tape.infonce_rows(a_leaf, b_leaf, tau)
+    loss = tape.sum_all(tape.mul(rows, tape.leaf(weights)))
+    tape.finalize()
+    backward(tape, loss)
+
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    nb = np.linalg.norm(b, axis=1, keepdims=True)
+    ah = np.divide(a, na, out=np.zeros_like(a), where=na > 0)
+    bh = b / nb
+    logits = ah @ bh.T / tau
+    expected = np.log(np.exp(logits).sum(axis=1)) - np.diag(logits)
+    softmax = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    g_logits = (softmax - np.eye(n)) * weights[:, None] / tau
+    g_ah, g_bh = g_logits @ bh, g_logits.T @ ah
+    # d(x/|x|)/dx = (I - x_hat x_hat^T) / |x|, applied row by row.
+    proj_a = np.einsum("ij,ik->ijk", ah, ah)
+    proj_b = np.einsum("ij,ik->ijk", bh, bh)
+    safe_na = np.where(na > 0, na, 1.0)
+    expected_da = np.einsum("ijk,ik->ij", np.eye(d) - proj_a, g_ah) / safe_na
+    expected_da[4] = 0.0
+    expected_db = np.einsum("ijk,ik->ij", np.eye(d) - proj_b, g_bh) / nb
+
+    np.testing.assert_allclose(rows.value, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=1e-12)
+    assert np.all(a_leaf.grad[4] == 0.0)
+
+    def build(tp, t):
+        return tp.sum_all(tp.infonce_rows(t["a"], t["b"], tau))
+
+    # Off the zero row: a probe there lifts the row above NORM_FLOOR, where
+    # the loss is discontinuous by design.
+    kept = {"a": np.delete(a, 4, axis=0), "b": np.delete(b, 4, axis=0)}
+    assert grad_check(build, kept, max_coords=None) < 1e-6
+
+
 def test_lowrank_matches_per_row_loop_oracle():
     rng = np.random.default_rng(3)
     w1 = rng.normal(size=(7, 4, 2))
@@ -225,9 +278,8 @@ def test_backward_replay_is_bit_identical():
         tape = Tape()
         x = tape.leaf(x_val, trainable=True)
         w = tape.leaf(w_val, trainable=True)
-        h = tape.row_l2_normalize(tape.matmul(x, w))
-        sims = tape.cosine_sim_matrix(h, h)
-        loss = tape.sum_all(tape.logsumexp_rows(sims))
+        xw = tape.matmul(x, w)
+        loss = tape.sum_all(tape.infonce_rows(tape.row_l2_normalize(xw), xw, 0.2))
         tape.finalize()
         backward(tape, loss)
         return x.grad.copy(), w.grad.copy()
@@ -266,10 +318,21 @@ def test_record_after_finalize_is_error():
 def test_nan_gradient_names_the_primitive():
     tape = Tape()
     x = tape.leaf(np.array([[np.inf, 1.0]]), trainable=True)
-    with np.errstate(invalid="ignore"):  # inf - inf inside the row shift
-        loss = tape.sum_all(tape.logsumexp_rows(x))
+    with np.errstate(invalid="ignore"):  # inf * 0 inside the row scaling
+        loss = tape.sum_all(tape.row_l2_normalize(x))
     tape.finalize()
-    with pytest.raises(DiffError, match="logsumexp_rows"):
+    with np.errstate(invalid="ignore"), pytest.raises(DiffError, match="row_l2_normalize"):
+        backward(tape, loss)
+
+
+def test_overflowing_gradient_names_the_primitive():
+    # The forward value (1e300) is finite; the inner scale's VJP overflows to inf.
+    tape = Tape()
+    x = tape.leaf(np.array([1e-300]), trainable=True)
+    loss = tape.sum_all(tape.scale(tape.scale(x, 1e300), 1e300))
+    tape.finalize()
+    assert np.isfinite(loss.value)
+    with np.errstate(over="ignore"), pytest.raises(DiffError, match="non-finite.*'scale'"):
         backward(tape, loss)
 
 
@@ -294,6 +357,11 @@ def test_shape_mismatches_raise():
         tape.add_bias(a, tape.leaf(np.ones(2)))
     with pytest.raises(ValueError):
         tape.matmul(a, tape.leaf(np.ones((2, 2))))
+    for other in (np.ones((4, 3)), np.ones((2, 2))):  # rows differ, columns differ
+        with pytest.raises(ValueError, match="infonce_rows"):
+            tape.infonce_rows(a, tape.leaf(other), 0.2)
+    with pytest.raises(ValueError, match="infonce_rows"):
+        tape.infonce_rows(tape.leaf(np.ones(3)), tape.leaf(np.ones(3)), 0.2)
 
 
 def test_grad_check_subset_is_seeded_and_bounded():
@@ -309,3 +377,47 @@ def test_grad_check_subset_is_seeded_and_bounded():
     # f sums 900 squared terms, so the probe differences carry cancellation
     # noise; the bound only needs to show the subset check is sane.
     assert err1 < 1e-5
+
+
+def _recording_primitives():
+    """Public Tape methods whose body records a node through ``_emit``."""
+    return {name for name, fn in vars(Tape).items()
+            if inspect.isfunction(fn) and not name.startswith("_")
+            and "self._emit(" in inspect.getsource(fn)}
+
+
+def _grad_checked_methods():
+    """Method names called by every test that runs ``grad_check``, following
+    the module-level builders and tables the test refers to by name."""
+    covered = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                top[node.name] = node
+            elif isinstance(node, ast.Assign):
+                top.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("test_")):
+                continue
+            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+            if not any(getattr(c.func, "id", None) == "grad_check" for c in calls):
+                continue
+            pending, seen = [node], set()
+            while pending:
+                for sub in ast.walk(pending.pop()):
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+                        covered.add(sub.func.attr)
+                    elif (isinstance(sub, ast.Name) and sub.id in top
+                          and sub.id not in seen):
+                        seen.add(sub.id)
+                        pending.append(top[sub.id])
+    return covered
+
+
+def test_every_primitive_is_grad_checked():
+    primitives = _recording_primitives()
+    assert "infonce_rows" in primitives and "leaf" not in primitives
+    missing = sorted(primitives - _grad_checked_methods())
+    assert not missing, f"primitives without a grad_check test: {missing}"

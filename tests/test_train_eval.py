@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hgcl.autodiff import DiffError
 from hgcl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from hgcl.config import config_from_text, with_ablations
@@ -91,20 +92,26 @@ def test_thirty_epochs_cut_loss_on_every_seed(tmp_path):
         assert curve[29]["loss"] < curve[0]["loss"], f"seed {seed}"
 
 
-def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, monkeypatch):
+@pytest.mark.parametrize("patched, error", [
+    ("forward_model", FloatingPointError("non-finite loss component: bpr")),
+    ("backward", DiffError("non-finite gradient produced by primitive 'scale'")),
+    ("adam_step", FloatingPointError("NaN gradient for parameter 'user_emb'; step aborted")),
+], ids=["forward_model", "backward", "adam_step"])
+def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, monkeypatch,
+                                                   patched, error):
     import hgcl.trainer as train_mod
     cfg = small_config(small_manifest, tmp_path, epochs=10, seed=0)
-    real_forward = train_mod.forward_model
+    real = getattr(train_mod, patched)
     calls = {"n": 0}
 
-    def failing_forward(*args, **kwargs):
+    def failing(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] > 3:
-            raise FloatingPointError("non-finite loss component: bpr")
-        return real_forward(*args, **kwargs)
+            raise error
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(train_mod, "forward_model", failing_forward)
-    with pytest.raises(RuntimeError, match="last-good checkpoint saved"):
+    monkeypatch.setattr(train_mod, patched, failing)
+    with pytest.raises(RuntimeError, match=r"aborted at epoch \d+: .*last-good checkpoint saved"):
         train(cfg)
     ckpt = load_checkpoint(cfg.checkpoint)  # last-good state was persisted
     assert ckpt.params["user_emb"].shape == (60, 16)
@@ -157,6 +164,43 @@ def test_checkpoint_save_load_bitwise(tmp_path):
     assert path.read_bytes() == first
     np.testing.assert_array_equal(loaded.params["a"], ckpt.params["a"])
     assert loaded.params["slope"].shape == ()
+
+
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    import hgcl.checkpoint as ckpt_mod
+    rng = np.random.default_rng(1)
+
+    def make(scale):
+        return Checkpoint(m=2, n=3, dim=4, rank=1, layers=1, config_text="[data]\n",
+                          user_ids=np.arange(2), item_ids=np.arange(3),
+                          params={"a": scale * rng.normal(size=(50, 4))})
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make(1.0), path)
+    before = path.read_bytes()
+    real_open = open
+
+    class TornFile:
+        # Lands half of the payload on disk, then fails like a full device.
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ckpt_mod, "open", lambda *a, **k: TornFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(make(2.0), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
