@@ -75,6 +75,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with ``rows`` added at ``idx``, repeats accumulating."""
+    buf = np.zeros(shape, dtype=rows.dtype)
+    np.add.at(buf, idx, rows)
+    return buf
+
+
 class Tape:
     """Single-owner record of one forward pass.
 
@@ -118,11 +125,6 @@ class Tape:
             raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
         return self._emit("add", a.value + b.value, (a, b), lambda g: (g, g))
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-        return self._emit("sub", a.value - b.value, (a, b), lambda g: (g, -g))
-
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape != b.value.shape:
             raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
@@ -147,15 +149,15 @@ class Tape:
 
         return self._emit("sum_all", np.asarray(x.value.sum()), (x,), vjp)
 
-    def row_sum(self, x: Tensor) -> Tensor:
-        if x.value.ndim != 2:
-            raise ValueError("row_sum expects a 2-d tensor")
-        cols = x.value.shape[1]
-
-        def vjp(g):
-            return (np.repeat(g[:, None], cols, axis=1),)
-
-        return self._emit("row_sum", x.value.sum(axis=1), (x,), vjp)
+    def sum_squares(self, *xs: Tensor) -> Tensor:
+        """Sum of the squares of every entry of every input."""
+        squares = [(x.value * x.value).sum() for x in xs]
+        total = np.asarray(sum(squares[1:], squares[0]))
+        # g*x + g*x matches squaring by mul(x, x), which writes g*x twice. That
+        # holds only because this is the first node to write a regularized
+        # leaf's gradient: later nodes write only to primitive outputs.
+        return self._emit("sum_squares", total, xs,
+                          lambda g: tuple(gx + gx for gx in (g * x.value for x in xs)))
 
     # -- dense / sparse linear algebra -------------------------------------
 
@@ -176,17 +178,11 @@ class Tape:
         idx = np.asarray(idx)
         if idx.ndim != 1:
             raise ValueError("gather_rows expects a 1-d index array")
-        n = x.value.shape[0]
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"gather_rows: index out of range for {n} rows")
         shape = x.value.shape
-
-        def vjp(g):
-            buf = np.zeros(shape, dtype=g.dtype)
-            np.add.at(buf, idx, g)
-            return (buf,)
-
-        return self._emit("gather_rows", x.value[idx], (x,), vjp)
+        if idx.size and (idx.min() < 0 or idx.max() >= shape[0]):
+            raise ValueError(f"gather_rows: index out of range for {shape[0]} rows")
+        return self._emit("gather_rows", x.value[idx], (x,),
+                          lambda g: (_scatter_rows(shape, idx, g),))
 
     def concat_columns(self, *parts: Tensor) -> Tensor:
         if len(parts) < 2:
@@ -257,11 +253,31 @@ class Tape:
 
         return self._emit("prelu", out, (x, slope), vjp)
 
-    def softplus(self, x: Tensor) -> Tensor:
-        xv = x.value
-        out = np.log1p(np.exp(-np.abs(xv))) + np.maximum(xv, 0.0)
-        return self._emit("softplus", out, (x,),
-                          lambda g: (g * _stable_sigmoid(xv),))
+    def bpr_rows(self, e_user: Tensor, e_item: Tensor, users: np.ndarray,
+                 pos: np.ndarray, neg: np.ndarray) -> Tensor:
+        """Per-triple BPR loss ``softplus(s_neg - s_pos)``, the stable form of
+        ``-ln sigmoid(s_pos - s_neg)``; ``s`` is a user row dot an item row."""
+        uv, iv = e_user.value, e_item.value
+        if uv.ndim != 2 or iv.ndim != 2 or uv.shape[1] != iv.shape[1]:
+            raise ValueError(f"bpr_rows: incompatible shapes {e_user.shape}, {e_item.shape}")
+        users, pos, neg = (np.asarray(i) for i in (users, pos, neg))
+        if users.ndim != 1 or not users.shape == pos.shape == neg.shape:
+            raise ValueError("bpr_rows expects three 1-d index arrays of one length")
+        for idx, n in ((users, uv.shape[0]), (pos, iv.shape[0]), (neg, iv.shape[0])):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise ValueError(f"bpr_rows: index out of range for {n} rows")
+        eu, ep, en = uv[users], iv[pos], iv[neg]
+        x = ((eu * ep).sum(axis=1) - (eu * en).sum(axis=1)) * -1.0
+
+        def vjp(g):
+            # Negative-pair rows, then positive-pair rows: the unfused chain's sum order.
+            gp = ((g * _stable_sigmoid(x)) * -1.0)[:, None]
+            gn = -gp
+            return (_scatter_rows(uv.shape, users, gn * en) + _scatter_rows(uv.shape, users, gp * ep),
+                    _scatter_rows(iv.shape, neg, gn * eu) + _scatter_rows(iv.shape, pos, gp * eu))
+
+        out = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+        return self._emit("bpr_rows", out, (e_user, e_item), vjp)
 
     def row_l2_normalize(self, x: Tensor) -> Tensor:
         if x.value.ndim != 2:

@@ -10,7 +10,7 @@ from .encoder import GateParams, GraphOperators, ViewEmbeddings, encode
 from .meta import (MetaMLP, PersonalTransforms, apply_transform,
                    extract_meta_knowledge, fuse_final, generate_transforms,
                    materialize_transform)
-from .objectives import LossConfig, bpr_loss, infonce_loss, pair_scores, total_loss
+from .objectives import LossConfig, bpr_loss, infonce_loss, total_loss
 
 PRELU_INIT = 0.25
 
@@ -158,10 +158,7 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
 
     users, pos, neg = batch
     reg = [leaves[k] for k in regularized_keys(leaves, abl)]
-    cache.bpr = bpr_loss(tape,
-                         pair_scores(tape, e_u_final, e_i_final, users, pos),
-                         pair_scores(tape, e_u_final, e_i_final, users, neg),
-                         reg, loss_cfg.l2_weight)
+    cache.bpr = bpr_loss(tape, e_u_final, e_i_final, batch, reg, loss_cfg.l2_weight)
 
     if not abl.no_cl and loss_cfg.cl_weight > 0:
         if ops.uu is not None:

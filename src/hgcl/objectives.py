@@ -49,13 +49,6 @@ def predict_scores(e_user: np.ndarray, e_item: np.ndarray,
     return (e_user[users] * e_item[items]).sum(axis=1)
 
 
-def pair_scores(tape: Tape, e_user: Tensor, e_item: Tensor,
-                users: np.ndarray, items: np.ndarray) -> Tensor:
-    """Differentiable pair scoring used inside the training loss."""
-    return tape.row_sum(tape.mul(tape.gather_rows(e_user, users),
-                                 tape.gather_rows(e_item, items)))
-
-
 def infonce_loss(tape: Tape, anchors: Tensor, targets: Tensor,
                  candidates: np.ndarray | None, temperature: float) -> Tensor:
     """Sum over anchors of -log softmax of the aligned pair's cosine similarity.
@@ -72,19 +65,13 @@ def infonce_loss(tape: Tape, anchors: Tensor, targets: Tensor,
     return tape.sum_all(tape.infonce_rows(anchors, targets, temperature))
 
 
-def bpr_loss(tape: Tape, pos_scores: Tensor, neg_scores: Tensor,
+def bpr_loss(tape: Tape, e_user: Tensor, e_item: Tensor, batch: tuple[np.ndarray, ...],
              reg_tensors: list[Tensor], l2_weight: float) -> Tensor:
-    """Pairwise ranking loss: sum of -ln sigmoid(pos - neg) plus L2 on the
-    regularized parameters. softplus(-x) is the stable form of -ln sigmoid(x)."""
-    if pos_scores.value.shape != neg_scores.value.shape:
-        raise ValueError("positive/negative score lists differ in length")
-    loss = tape.sum_all(tape.softplus(tape.scale(tape.sub(pos_scores, neg_scores), -1.0)))
+    """Pairwise ranking loss over (user, positive, negative) index triples:
+    sum of -ln sigmoid(s_pos - s_neg) plus L2 on the regularized parameters."""
+    loss = tape.sum_all(tape.bpr_rows(e_user, e_item, *batch))
     if l2_weight > 0 and reg_tensors:
-        reg = None
-        for t in reg_tensors:
-            sq = tape.sum_all(tape.mul(t, t))
-            reg = sq if reg is None else tape.add(reg, sq)
-        loss = tape.add(loss, tape.scale(reg, l2_weight))
+        loss = tape.add(loss, tape.scale(tape.sum_squares(*reg_tensors), l2_weight))
     return loss
 
 

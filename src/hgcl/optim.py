@@ -35,8 +35,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
     for name, g in grads.items():
-        if g is not None and np.isnan(g).any():
-            raise FloatingPointError(f"NaN gradient for parameter '{name}'; step aborted")
+        if g is not None and not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for parameter '{name}'; step aborted")
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t

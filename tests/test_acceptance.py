@@ -73,8 +73,10 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_closed_form_losses():
     tape = Tape()
-    scores = tape.leaf(np.full(8, 2.5))
-    bpr = bpr_loss(tape, scores, tape.leaf(np.full(8, 2.5)), [], 0.0)
+    # One unit user row and one item row holding the score 2.5 for every pair.
+    same = np.zeros(8, dtype=int)
+    bpr = bpr_loss(tape, tape.leaf(np.ones((1, 1))), tape.leaf(np.array([[2.5]])),
+                   (same, same, same), [], 0.0)
     assert abs(float(bpr.value) / 8 - math.log(2)) < 1e-9
 
     for count in (2, 5, 50):

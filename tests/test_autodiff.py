@@ -81,8 +81,8 @@ def test_composite_graph_matches_finite_differences():
                                  tape.reshape_rows(w2, (2, 6)), cat)
         per_row = tape.infonce_rows(low, low, 1 / 3)
         picked = tape.gather_rows(low, idx)
-        extra = tape.row_sum(tape.mul(picked, picked))
-        return tape.add(tape.sum_all(per_row), tape.sum_all(tape.softplus(extra)))
+        extra = tape.sum_squares(picked)
+        return tape.add(tape.sum_all(per_row), extra)
 
     inputs = {
         "x": rng.uniform(-2, 2, (6, 3)),
@@ -96,14 +96,22 @@ def test_composite_graph_matches_finite_differences():
     assert err < 1e-6
 
 
+# (user, positive, negative) rows into 4x4 embeddings, with repeats on
+# every index so that scattered gradients accumulate.
+BPR_TRIPLES = (np.array([0, 2, 2, 3, 1, 0]), np.array([1, 1, 3, 0, 2, 3]),
+               np.array([2, 0, 1, 1, 3, 3]))
+
 PRIMITIVE_BUILDERS = {
     "add": lambda t, a, b: t.add(a, b),
-    "sub": lambda t, a, b: t.sub(a, b),
+    # The fused BPR op replaced sub, row_sum and softplus and keeps their case
+    # ids: w.r.t. users as "sub", w.r.t. items as "row_sum", and with one
+    # tensor on both sides, whose two gradients add, as "softplus".
+    "sub": lambda t, a, b: t.bpr_rows(a, b, *BPR_TRIPLES),
     "mul": lambda t, a, b: t.mul(a, b),
     "scale": lambda t, a, b: t.scale(a, -1.7),
     "matmul": lambda t, a, b: t.matmul(a, b),
     "sigmoid": lambda t, a, b: t.sigmoid(a),
-    "softplus": lambda t, a, b: t.softplus(a),
+    "softplus": lambda t, a, b: t.bpr_rows(a, a, *BPR_TRIPLES),
     "row_l2_normalize": lambda t, a, b: t.row_l2_normalize(a),
     # The fused InfoNCE op replaced the cosine and log-sum-exp primitives and
     # keeps their case ids: w.r.t. anchors as "cosine_sim_matrix", w.r.t.
@@ -111,7 +119,7 @@ PRIMITIVE_BUILDERS = {
     "cosine_sim_matrix": lambda t, a, b: t.infonce_rows(a, b, 0.5),
     "logsumexp_rows": lambda t, a, b: t.infonce_rows(b, a, 0.5),
     "concat_columns": lambda t, a, b: t.concat_columns(a, b),
-    "row_sum": lambda t, a, b: t.row_sum(a),
+    "row_sum": lambda t, a, b: t.bpr_rows(b, a, *BPR_TRIPLES),
 }
 
 
@@ -125,7 +133,7 @@ def test_primitive_finite_difference_property(name, seed):
 
     def build(tape, ts):
         out = op(tape, ts["a"], tape.leaf(b))
-        return tape.sum_all(tape.softplus(out))
+        return tape.sum_all(tape.sigmoid(out))
 
     err = grad_check(build, {"a": a}, max_coords=None)
     assert err < 1e-6, f"{name}: {err}"
@@ -242,6 +250,58 @@ def test_infonce_rows_matches_dense_closed_form():
     # the loss is discontinuous by design.
     kept = {"a": np.delete(a, 4, axis=0), "b": np.delete(b, 4, axis=0)}
     assert grad_check(build, kept, max_coords=None) < 1e-6
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["two_tables", "one_table"])
+def test_bpr_rows_matches_closed_form(shared):
+    # Values and both gradients against numpy, with repeated users and items;
+    # with one table on both sides its gradient is the sum of the two.
+    rng = np.random.default_rng(12)
+    e_u = rng.normal(size=(5, 4))
+    e_i = e_u if shared else rng.normal(size=(7, 4))
+    users = np.array([0, 3, 3, 1, 0, 4, 3])
+    pos = np.array([2, 2, 0, 4, 1, 2, 3])
+    neg = np.array([1, 4, 4, 0, 1, 3, 0])
+    weights = rng.uniform(0.5, 2.0, len(users))
+    tape = Tape()
+    u_leaf = tape.leaf(e_u, trainable=True)
+    i_leaf = u_leaf if shared else tape.leaf(e_i, trainable=True)
+    rows = tape.bpr_rows(u_leaf, i_leaf, users, pos, neg)
+    loss = tape.sum_all(tape.mul(rows, tape.leaf(weights)))
+    tape.finalize()
+    backward(tape, loss)
+
+    diff = (e_u[users] * (e_i[neg] - e_i[pos])).sum(axis=1)
+    coef = weights / (1.0 + np.exp(-diff))  # weight * sigmoid(s_neg - s_pos)
+    du = np.zeros_like(e_u)
+    di = np.zeros_like(e_i)
+    np.add.at(du, users, coef[:, None] * (e_i[neg] - e_i[pos]))
+    np.add.at(di, neg, coef[:, None] * e_u[users])
+    np.add.at(di, pos, -coef[:, None] * e_u[users])
+    np.testing.assert_allclose(rows.value, np.logaddexp(0.0, diff), rtol=0, atol=1e-12)
+    if shared:
+        np.testing.assert_allclose(u_leaf.grad, du + di, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_allclose(u_leaf.grad, du, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(i_leaf.grad, di, rtol=0, atol=1e-12)
+
+
+def test_sum_squares_matches_closed_form():
+    rng = np.random.default_rng(13)
+    xs = [rng.normal(size=(3, 4)), rng.normal(size=5), np.asarray(1.5)]
+    tape = Tape()
+    leaves = [tape.leaf(x, trainable=True) for x in xs]
+    loss = tape.scale(tape.sum_squares(*leaves), 0.3)
+    tape.finalize()
+    backward(tape, loss)
+    assert abs(float(loss.value) - 0.3 * sum((x * x).sum() for x in xs)) < 1e-12
+    for x, leaf in zip(xs, leaves):
+        np.testing.assert_allclose(leaf.grad, 2 * 0.3 * x, rtol=0, atol=1e-12)
+
+    def build(tp, t):
+        return tp.sum_squares(t["a"], t["b"])
+
+    assert grad_check(build, {"a": xs[0], "b": xs[1]}, max_coords=None) < 1e-6
 
 
 def test_lowrank_matches_per_row_loop_oracle():
@@ -362,6 +422,16 @@ def test_shape_mismatches_raise():
             tape.infonce_rows(a, tape.leaf(other), 0.2)
     with pytest.raises(ValueError, match="infonce_rows"):
         tape.infonce_rows(tape.leaf(np.ones(3)), tape.leaf(np.ones(3)), 0.2)
+    idx = np.array([0, 1])
+    with pytest.raises(ValueError, match="bpr_rows"):  # embedding widths differ
+        tape.bpr_rows(a, b, idx, idx, idx)
+    items = tape.leaf(np.ones((3, 3)))
+    for bad in ((idx[None, :], idx[None, :], idx[None, :]),  # 2-d index
+                (idx, idx, np.array([0])),                   # lengths differ
+                (idx, np.array([0, 3]), idx),                # past the last row
+                (np.array([-1, 0]), idx, idx)):              # negative
+        with pytest.raises(ValueError, match="bpr_rows"):
+            tape.bpr_rows(a, items, *bad)
 
 
 def test_grad_check_subset_is_seeded_and_bounded():
@@ -414,6 +484,18 @@ def _grad_checked_methods():
                         seen.add(sub.id)
                         pending.append(top[sub.id])
     return covered
+
+
+def test_every_primitive_has_a_model_caller():
+    # A primitive that only tests call is dead code on the tape.
+    called = set()
+    for path in Path(inspect.getfile(Tape)).parent.glob("*.py"):
+        if path.name != "autodiff.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            called.update(node.func.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+    missing = sorted(_recording_primitives() - called)
+    assert not missing, f"primitives no hgcl module calls: {missing}"
 
 
 def test_every_primitive_is_grad_checked():

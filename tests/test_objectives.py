@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hgcl.autodiff import Tape, backward
-from hgcl.objectives import (LossConfig, bpr_loss, infonce_loss, pair_scores,
-                             predict_scores, total_loss)
+from hgcl.objectives import (LossConfig, bpr_loss, infonce_loss, predict_scores,
+                             total_loss)
 from hgcl.optim import AdamState, adam_step
 
 
@@ -119,25 +119,31 @@ def test_sharper_temperature_widens_hard_anchor_gap():
     assert per_term_gap(0.1) >= per_term_gap(0.5)
 
 
+def bpr_of_scores(tape, pos, neg, reg=(), l2_weight=0.0):
+    """bpr_loss over triples whose scores equal ``pos`` and ``neg`` exactly:
+    one unit user row against one-column item rows that hold the scores."""
+    scores = np.concatenate([pos, neg]).astype(float)[:, None]
+    k = len(pos)
+    batch = (np.zeros(k, dtype=int), np.arange(k), np.arange(k, 2 * k))
+    return bpr_loss(tape, tape.leaf(np.ones((1, 1))), tape.leaf(scores), batch,
+                    list(reg), l2_weight)
+
+
 def test_bpr_equal_scores_is_log_two():
     tape = Tape()
-    pos = tape.leaf(np.full(4, 1.5))
-    neg = tape.leaf(np.full(4, 1.5))
-    loss = bpr_loss(tape, pos, neg, [], 0.0)
+    loss = bpr_of_scores(tape, np.full(4, 1.5), np.full(4, 1.5))
     assert abs(float(loss.value) / 4 - math.log(2)) < 1e-9
 
 
 def test_bpr_saturates_for_large_margins():
     tape = Tape()
-    pos = tape.leaf(np.array([20.0]))
-    neg = tape.leaf(np.array([0.0]))
-    loss = bpr_loss(tape, pos, neg, [], 0.0)
+    loss = bpr_of_scores(tape, [20.0], [0.0])
     assert float(loss.value) < 1e-8
 
 
 def test_bpr_unit_margin_value():
     tape = Tape()
-    loss = bpr_loss(tape, tape.leaf(np.array([1.0])), tape.leaf(np.array([0.0])), [], 0.0)
+    loss = bpr_of_scores(tape, [1.0], [0.0])
     assert abs(float(loss.value) - 0.31326) < 1e-5
 
 
@@ -146,8 +152,7 @@ def test_bpr_strictly_decreasing_in_margin():
     values = []
     for margin in margins:
         tape = Tape()
-        loss = bpr_loss(tape, tape.leaf(np.array([margin])),
-                        tape.leaf(np.array([0.0])), [], 0.0)
+        loss = bpr_of_scores(tape, [margin], [0.0])
         values.append(float(loss.value))
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -155,8 +160,7 @@ def test_bpr_strictly_decreasing_in_margin():
 def test_bpr_regularization_term():
     tape = Tape()
     theta = tape.leaf(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    loss = bpr_loss(tape, tape.leaf(np.array([0.0])), tape.leaf(np.array([0.0])),
-                    [theta], 0.1)
+    loss = bpr_of_scores(tape, [0.0], [0.0], [theta], 0.1)
     assert abs(float(loss.value) - (math.log(2) + 0.1 * 14.0)) < 1e-12
 
 
@@ -191,15 +195,17 @@ def test_total_loss_names_nan_component():
 
 
 def test_pair_scores_matches_predict_scores():
+    # bpr_rows against a zero negative row (index 7) is softplus(-score).
     rng = np.random.default_rng(4)
     e_u = rng.normal(size=(5, 3))
     e_i = rng.normal(size=(7, 3))
     users = rng.integers(5, size=11)
     items = rng.integers(7, size=11)
     tape = Tape()
-    scored = pair_scores(tape, tape.leaf(e_u), tape.leaf(e_i), users, items)
+    rows = tape.bpr_rows(tape.leaf(e_u), tape.leaf(np.vstack([e_i, np.zeros(3)])),
+                         users, items, np.full(11, 7))
     expected = predict_scores(e_u, e_i, np.stack([users, items], axis=1))
-    np.testing.assert_allclose(scored.value, expected, atol=1e-14)
+    np.testing.assert_allclose(rows.value, np.logaddexp(0.0, -expected), atol=1e-14)
 
 
 def test_adam_first_step_magnitude():
@@ -246,10 +252,34 @@ def test_adam_converges_on_quadratic_bowl():
     assert np.linalg.norm(params["theta"]) < 1e-3
 
 
-def test_adam_rejects_nan_gradients():
-    params = {"w": np.array([1.0])}
-    with pytest.raises(FloatingPointError, match="'w'"):
-        adam_step(params, {"w": np.array([float("nan")])}, AdamState(), 0.01)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_adam_rejects_nan_gradients(bad):
+    params = {"w": np.array([1.0, 2.0])}
+    state = AdamState()
+    with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'w'"):
+        adam_step(params, {"w": np.array([0.5, bad])}, state, 0.01)
+    np.testing.assert_array_equal(params["w"], [1.0, 2.0])
+    assert state.step == 0
+
+
+def test_adam_rejects_gradient_that_overflows_in_backward():
+    # The loss and each gradient contribution are finite, so backward passes
+    # them; their sum in the leaf's gradient is inf.
+    tape = Tape()
+    x = tape.leaf(np.array([0.5]), trainable=True)
+    loss = tape.sum_all(tape.add(tape.scale(x, 1e308), tape.scale(x, 1e308)))
+    tape.finalize()
+    assert np.isfinite(loss.value)
+    with np.errstate(over="ignore"):
+        backward(tape, loss)
+    assert np.isinf(x.grad).all()
+    params = {"x": x.value.copy()}
+    state = AdamState()
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        adam_step(params, {"x": x.grad}, state, 0.01)
+    np.testing.assert_array_equal(params["x"], [0.5])
+    assert state.step == 0
 
 
 def test_adam_is_deterministic():

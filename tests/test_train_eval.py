@@ -1,5 +1,6 @@
 """Trainer, ranked evaluation, sparsity groups, and checkpoint round trips."""
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def test_thirty_epochs_cut_loss_on_every_seed(tmp_path):
 @pytest.mark.parametrize("patched, error", [
     ("forward_model", FloatingPointError("non-finite loss component: bpr")),
     ("backward", DiffError("non-finite gradient produced by primitive 'scale'")),
-    ("adam_step", FloatingPointError("NaN gradient for parameter 'user_emb'; step aborted")),
+    ("adam_step", FloatingPointError("non-finite gradient for parameter 'user_emb'; step aborted")),
 ], ids=["forward_model", "backward", "adam_step"])
 def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, monkeypatch,
                                                    patched, error):
@@ -115,6 +116,23 @@ def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, mon
         train(cfg)
     ckpt = load_checkpoint(cfg.checkpoint)  # last-good state was persisted
     assert ckpt.params["user_emb"].shape == (60, 16)
+
+
+def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkeypatch):
+    # BPR and its L2 term are one node each; the three sum_all nodes are the
+    # BPR sum and the two contrastive sums.
+    import hgcl.trainer as train_mod
+    real, steps = train_mod.backward, []
+
+    def recording(tape, loss):
+        steps.append(Counter(op for op, *_ in tape._nodes))
+        return real(tape, loss)
+
+    monkeypatch.setattr(train_mod, "backward", recording)
+    train(small_config(small_manifest, tmp_path, epochs=1), write_outputs=False)
+    ops = steps[0]
+    assert sum(ops.values()) == 96
+    assert (ops["bpr_rows"], ops["sum_squares"], ops["sum_all"]) == (1, 1, 3)
 
 
 def test_no_cl_ablation_removes_contrastive_terms(small_manifest, tmp_path):
