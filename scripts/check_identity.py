@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Check that the working tree's outputs are byte-identical to another rev's.
+
+Usage:
+    python scripts/check_identity.py --against HEAD~
+
+The rev's tracked files are extracted with ``git archive`` into a temporary
+directory; only local git is used. One synthetic dataset (``gen-synth
+--users 200 --items 300 --homophily 0.8 --seed 1``) serves both sides. For
+each of 20 trainings (f64 and f32, ``full`` and ``batch`` contrastive
+negatives, no ablation and ``--ablate meta|uu|ii|cl``; 10 epochs, batch 512)
+both sides run ``hgcl train`` from the same directory with the same config,
+and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
+for byte. The same directory matters: a checkpoint embeds its config, whose
+paths are resolved to absolute ones. After the f64, full, unablated training
+each side also runs ``export-transforms`` for user 17 and item 17 and
+``grad-check`` on that config, whose stdout is compared.
+
+Prints one line per training, one per transform CSV and one for grad-check,
+and exits 1 if any output differs.
+"""
+import argparse
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUTPUTS = ("model.ckpt", "metrics.csv", "epochs.jsonl")
+RUNS = [(precision, negatives, ablation)
+        for precision in ("f64", "f32") for negatives in ("full", "batch")
+        for ablation in (None, "meta", "uu", "ii", "cl")]
+CONFIG = """[data]
+manifest = data/manifest.txt
+checkpoint = out/model.ckpt
+metrics_csv = out/metrics.csv
+epochs_jsonl = out/epochs.jsonl
+[model]
+precision = {precision}
+[loss]
+cl_negatives = {negatives}
+[train]
+epochs = 10
+batch_size = 512
+seed = 0
+"""
+
+
+def hgcl(tree: Path, work: Path, *args: str) -> bytes:
+    """Run the CLI of the checkout ``tree`` in ``work``; returns its stdout."""
+    proc = subprocess.run([sys.executable, "-m", "hgcl.cli", *args], cwd=work,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True)
+    if proc.returncode != 0:
+        sys.exit(f"hgcl {' '.join(args)} failed in {tree}:\n{proc.stderr.decode()}")
+    return proc.stdout
+
+
+def run_side(tree: Path, work: Path, keep: Path, run) -> None:
+    """Train one configuration with ``tree`` and copy what it wrote to ``keep``."""
+    precision, negatives, ablation = run
+    shutil.rmtree(work / "out", ignore_errors=True)
+    (work / "run.cfg").write_text(CONFIG.format(precision=precision, negatives=negatives),
+                                  encoding="utf-8")
+    hgcl(tree, work, "train", "--config", "run.cfg",
+         *(("--ablate", ablation) if ablation else ()))
+    keep.mkdir(parents=True)
+    for name in OUTPUTS:
+        shutil.copy(work / "out" / name, keep / name)
+    if run == RUNS[0]:
+        for side in ("user", "item"):
+            hgcl(tree, work, "export-transforms", "--checkpoint", "out/model.ckpt",
+                 "--node", "17", "--side", side, "--out", str(keep / f"{side}17.csv"))
+        (keep / "grad-check.txt").write_bytes(hgcl(tree, work, "grad-check", "--config", "run.cfg"))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", required=True, help="git rev to compare with")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="hgcl-identity-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "base")
+        work = tmp / "work"
+        work.mkdir()
+        hgcl(ROOT, work, "gen-synth", "--out", "data", "--users", "200", "--items", "300",
+             "--homophily", "0.8", "--seed", "1")
+
+        failed = 0
+        for index, run in enumerate(RUNS):
+            base, change = tmp / "base-out" / str(index), tmp / "change-out" / str(index)
+            run_side(tmp / "base", work, base, run)
+            run_side(ROOT, work, change, run)
+            groups = [(f"train {run[0]} {run[1]:5s} --ablate {run[2] or '-'}", OUTPUTS)]
+            if run == RUNS[0]:
+                groups += [(f"export-transforms --side {side}", (f"{side}17.csv",))
+                           for side in ("user", "item")]
+                groups.append(("grad-check stdout", ("grad-check.txt",)))
+            for label, names in groups:
+                bad = [n for n in names if (base / n).read_bytes() != (change / n).read_bytes()]
+                failed += bool(bad)
+                print(f"{'DIFFERENT' if bad else 'identical'}  {label:34s} "
+                      f"{', '.join(bad or names)}", flush=True)
+    print(f"{failed} comparisons differ from {args.against}" if failed
+          else f"every output is byte-identical to {args.against}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

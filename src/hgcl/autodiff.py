@@ -85,24 +85,13 @@ def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> 
 class Tape:
     """Single-owner record of one forward pass.
 
-    Finalize before calling :func:`backward`; recording after finalization is
-    an error, as is differentiating an unfinalized tape.
+    :func:`backward` seals the tape: recording after it is an error.
     """
 
     def __init__(self):
         self._nodes: list[tuple] = []  # (op name, output, inputs, vjp)
         self._tensors: list[Tensor] = []
-        self._finalized = False
-        # Sign masks of every prelu input, in call order; used by grad_check
-        # to detect probes that crossed a kink.
-        self.prelu_signs: list[np.ndarray] = []
-
-    @property
-    def finalized(self) -> bool:
-        return self._finalized
-
-    def finalize(self) -> None:
-        self._finalized = True
+        self._sealed = False
 
     def leaf(self, value, trainable: bool = False, name: str = "") -> Tensor:
         t = Tensor(np.asarray(value), trainable=trainable, name=name)
@@ -110,8 +99,8 @@ class Tape:
         return t
 
     def _emit(self, op: str, value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-        if self._finalized:
-            raise DiffError("cannot record a primitive on a finalized tape")
+        if self._sealed:
+            raise DiffError("cannot record a primitive on a tape after backward")
         out = Tensor(value)
         out.produced = True
         self._tensors.append(out)
@@ -135,12 +124,6 @@ class Tape:
         c = float(c)
         return self._emit("scale", a.value * c, (a,), lambda g: (g * c,))
 
-    def add_bias(self, x: Tensor, b: Tensor) -> Tensor:
-        if x.value.ndim != 2 or b.value.ndim != 1 or x.value.shape[1] != b.value.shape[0]:
-            raise ValueError(f"add_bias: incompatible shapes {x.shape}, {b.shape}")
-        return self._emit("add_bias", x.value + b.value[None, :], (x, b),
-                          lambda g: (g, g.sum(axis=0)))
-
     def sum_all(self, x: Tensor) -> Tensor:
         shape = x.value.shape
 
@@ -161,12 +144,13 @@ class Tape:
 
     # -- dense / sparse linear algebra -------------------------------------
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-            raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-        av, bv = a.value, b.value
-        return self._emit("matmul", av @ bv, (a, b),
-                          lambda g: (g @ bv.T, av.T @ g))
+    def affine(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        xv, wv, bv = x.value, w.value, b.value
+        if (xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]
+                or bv.shape != (wv.shape[1],)):
+            raise ValueError(f"affine: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
+        return self._emit("affine", xv @ wv + bv[None, :], (x, w, b),
+                          lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0)))
 
     def spmm(self, adj: SparseMatrix, x: Tensor) -> Tensor:
         if x.value.ndim != 2 or adj.shape[1] != x.value.shape[0]:
@@ -200,25 +184,18 @@ class Tape:
         return self._emit("concat_columns", np.concatenate([p.value for p in parts], axis=1),
                           tuple(parts), vjp)
 
-    def reshape_rows(self, x: Tensor, inner: tuple[int, int]) -> Tensor:
-        if x.value.ndim != 2 or x.value.shape[1] != inner[0] * inner[1]:
-            raise ValueError(f"reshape_rows: cannot reshape width {x.shape} to {inner}")
-        n = x.value.shape[0]
-        flat = x.value.shape
-
-        def vjp(g):
-            return (g.reshape(flat),)
-
-        # Row-major reshape; the flattened layout is part of the checkpoint contract.
-        return self._emit("reshape_rows", x.value.reshape(n, inner[0], inner[1]), (x,), vjp)
-
     def lowrank_apply(self, w1: Tensor, w2: Tensor, x: Tensor) -> Tensor:
-        if w1.value.ndim != 3 or w2.value.ndim != 3 or x.value.ndim != 2:
-            raise ValueError("lowrank_apply expects (N,d,k), (N,k,d), (N,d)")
-        n, d, k = w1.value.shape
-        if w2.value.shape != (n, k, d) or x.value.shape != (n, d):
-            raise ValueError(f"lowrank_apply: incompatible shapes {w1.shape}, {w2.shape}, {x.shape}")
-        w1v, w2v, xv = w1.value, w2.value, x.value
+        """Per row ``W1 (W2 x)``, where ``W1`` (d, k) and ``W2`` (k, d) are that
+        row of ``w1`` (N, d*k) and ``w2`` (N, k*d) read row-major."""
+        flat = w1.value.shape
+        if (x.value.ndim != 2 or len(flat) != 2 or w2.value.shape != flat
+                or flat[0] != x.value.shape[0] or not x.value.shape[1] or flat[1] % x.value.shape[1]):
+            raise ValueError("lowrank_apply expects (N,d*k), (N,k*d), (N,d), got "
+                             f"{w1.shape}, {w2.shape}, {x.shape}")
+        n, d = x.value.shape
+        k = flat[1] // d
+        # Row-major views; the flattened layout is part of the checkpoint contract.
+        w1v, w2v, xv = w1.value.reshape(n, d, k), w2.value.reshape(n, k, d), x.value
         # Two k-wide products per row; the d x d matrix is never materialized.
         t = np.einsum("nkd,nd->nk", w2v, xv)
         y = np.einsum("ndk,nk->nd", w1v, t)
@@ -228,7 +205,7 @@ class Tape:
             dt = np.einsum("ndk,nd->nk", w1v, g)
             dw2 = np.einsum("nk,nd->nkd", dt, xv)
             dx = np.einsum("nkd,nk->nd", w2v, dt)
-            return (dw1, dw2, dx)
+            return (dw1.reshape(n, d * k), dw2.reshape(n, k * d), dx)
 
         return self._emit("lowrank_apply", y, (w1, w2, x), vjp)
 
@@ -243,7 +220,6 @@ class Tape:
             raise ValueError("prelu slope must be a scalar tensor")
         a = float(slope.value)
         xv = x.value
-        self.prelu_signs.append(xv > 0)
         out = np.where(xv >= 0, xv, a * xv)
 
         def vjp(g):
@@ -345,10 +321,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Gradients accumulate additively when a tensor feeds multiple nodes;
     non-trainable leaves are left untouched.
     """
-    if not tape.finalized:
-        raise DiffError("backward called before the forward pass was finalized")
     if loss.value.shape != ():
         raise DiffError(f"loss must be scalar, got shape {loss.value.shape}")
+    tape._sealed = True
     for t in tape._tensors:
         t.grad = None
     loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
@@ -377,8 +352,9 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
     exceeds ``max_coords`` a seeded random subset of that size is probed
     (``None`` probes everything). Probes whose two evaluations disagree on any
     prelu input sign are skipped (the perturbation crossed a kink). Returns
-    the max relative error ``|a - fd| / (|a| + |fd| + 1e-12)`` over all probed
-    coordinates.
+    the max over probed coordinates of ``max(0, |a - fd| - noise) / (|a| +
+    |fd| + 1e-12)``, where ``noise = eps_mach * max(|f+|, |f-|) / eps`` bounds
+    the rounding error of the central difference itself.
     """
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in inputs.items()}
 
@@ -388,8 +364,8 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
         loss = builder(tape, tensors)
         if loss.value.shape != ():
             raise DiffError("grad_check requires a scalar loss")
-        tape.finalize()
-        signs = tuple(s.tobytes() for s in tape.prelu_signs)
+        signs = tuple((inputs[0].value > 0).tobytes()
+                      for op, _, inputs, _ in tape._nodes if op == "prelu")
         if with_grads:
             backward(tape, loss)
             return tensors, signs
@@ -429,7 +405,8 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
         if sigs[0] != sigs[1]:
             continue  # kink coordinate
         fd = (probes[0] - probes[1]) / (2.0 * eps)
+        noise = np.finfo(np.float64).eps * max(abs(probes[0]), abs(probes[1])) / eps
         a = float(analytic[key][local])
-        rel = abs(a - fd) / (abs(a) + abs(fd) + 1e-12)
+        rel = max(0.0, abs(a - fd) - noise) / (abs(a) + abs(fd) + 1e-12)
         max_rel = max(max_rel, rel)
     return max_rel

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import param_order
+
 MAGIC = b"HGCL"
 VERSION = 1
 
@@ -114,6 +116,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params[name] = arr.reshape(shape) if ndim else arr.reshape(())
     if reader.pos != len(reader.data):
         raise CheckpointError(f"{path}: trailing bytes after parameter arrays")
+    declared = dict(param_order(dim, rank, m, n))
+    for name in [*declared, *(k for k in params if k not in declared)]:
+        have = params[name].shape if name in params else "missing"
+        want = declared.get(name, "absent")
+        if have != want:
+            raise CheckpointError(f"{path}: parameter '{name}' is {have} in the checkpoint "
+                                  f"but {want} in the model")
+    for table, count, limit in (("user_ids", ids[0].size, m), ("item_ids", ids[1].size, n)):
+        if count > limit:
+            raise CheckpointError(f"{path}: id table '{table}' has {count} entries for {limit} nodes")
     return Checkpoint(m=m, n=n, dim=dim, rank=rank, layers=layers,
                       config_text=config_text, user_ids=ids[0], item_ids=ids[1],
                       params=params)

@@ -9,13 +9,13 @@ from dataclasses import replace
 import numpy as np
 
 from .autodiff import grad_check
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import config_from_text, parse_config, with_ablations, with_seed
 from .dataset import BprSampler
 from .model import forward_model, init_params, trainable_keys, transform_matrix_for_node
 from .meta import write_transform_csv
 from .synthetic import generate_synthetic
-from .trainer import evaluate, load_bundle, train, write_metrics
+from .trainer import evaluate, load_bundle, run_seeds, train, write_metrics
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +89,9 @@ def _load_for_checkpoint(checkpoint_path: str, manifest: str | None):
     if (bundle.data.m, bundle.data.n) != (ckpt.m, ckpt.n):
         raise RuntimeError(f"dimension mismatch: checkpoint is {ckpt.m}x{ckpt.n} "
                            f"but dataset is {bundle.data.m}x{bundle.data.n}")
+    for table in ("user_ids", "item_ids"):
+        if not np.array_equal(getattr(ckpt, table), getattr(bundle.data, table)):
+            raise CheckpointError(f"{checkpoint_path}: id table '{table}' differs from the dataset's")
     params = {k: v.astype(cfg.dtype) for k, v in ckpt.params.items()}
     return ckpt, cfg, bundle, params
 
@@ -131,9 +134,9 @@ def _cmd_grad_check(args) -> int:
     cfg = parse_config(args.config)
     bundle = load_bundle(cfg)
     hp = cfg.hyper
-    _, init_seed, sampler_seed = np.random.SeedSequence(hp.seed).spawn(3)
-    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, init_seed)
-    sampler = BprSampler(bundle.dataset, seed=sampler_seed)
+    seeds = run_seeds(hp.seed)
+    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, seeds.init)
+    sampler = BprSampler(bundle.dataset, seed=seeds.sampler)
     batch = sampler.next_batch(min(args.batch, hp.batch_size))
     keys = trainable_keys(params, cfg.ablations)
     frozen = {k: v for k, v in params.items() if k not in keys}

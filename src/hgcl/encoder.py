@@ -31,8 +31,7 @@ class ViewEmbeddings:
 
 def self_gate(tape: Tape, e0: Tensor, gate: GateParams) -> Tensor:
     """Elementwise sigmoid gate computed from the embedding itself."""
-    z = tape.add_bias(tape.matmul(e0, gate.weight), gate.bias)
-    return tape.mul(e0, tape.sigmoid(z))
+    return tape.mul(e0, tape.sigmoid(tape.affine(e0, gate.weight, gate.bias)))
 
 
 def propagate_layer(tape: Tape, adj: SparseMatrix, e_src: Tensor) -> Tensor:

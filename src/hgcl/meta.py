@@ -28,15 +28,15 @@ class MetaMLP:
 
 @dataclass
 class PersonalTransforms:
-    """Per-node factor pair; the implied d x d transform has rank <= k."""
+    """Per-node factor pair as flat rows; the implied d x d transform has rank <= k."""
 
-    w1: Tensor  # (N, d, k)
-    w2: Tensor  # (N, k, d)
+    w1: Tensor  # (N, d*k)
+    w2: Tensor  # (N, k*d)
 
 
 def mlp_apply(tape: Tape, mlp: MetaMLP, x: Tensor) -> Tensor:
-    hidden = tape.prelu(tape.add_bias(tape.matmul(x, mlp.w_in), mlp.b_in), mlp.slope)
-    return tape.add_bias(tape.matmul(hidden, mlp.w_out), mlp.b_out)
+    hidden = tape.prelu(tape.affine(x, mlp.w_in, mlp.b_in), mlp.slope)
+    return tape.affine(hidden, mlp.w_out, mlp.b_out)
 
 
 def extract_meta_knowledge(tape: Tape, e_view: Tensor, e_aux: Tensor,
@@ -49,10 +49,8 @@ def extract_meta_knowledge(tape: Tape, e_view: Tensor, e_aux: Tensor,
 
 def generate_transforms(tape: Tape, meta: Tensor, mlp1: MetaMLP, mlp2: MetaMLP,
                         dim: int, rank: int) -> PersonalTransforms:
-    """Reshape the MLP outputs row-major into per-node (d, k) and (k, d) factors."""
-    w1 = tape.reshape_rows(mlp_apply(tape, mlp1, meta), (dim, rank))
-    w2 = tape.reshape_rows(mlp_apply(tape, mlp2, meta), (rank, dim))
-    return PersonalTransforms(w1=w1, w2=w2)
+    """Per-node (dim, rank) and (rank, dim) factors, one MLP output row each."""
+    return PersonalTransforms(w1=mlp_apply(tape, mlp1, meta), w2=mlp_apply(tape, mlp2, meta))
 
 
 def apply_transform(tape: Tape, transforms: PersonalTransforms, e_aux: Tensor,

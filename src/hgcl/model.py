@@ -184,7 +184,6 @@ def compute_final_embeddings(params: dict[str, np.ndarray], ops: GraphOperators,
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
     cache = forward_model(tape, leaves, ops, dim, rank, n_layers,
                           alpha_user, alpha_item, LossConfig(), abl)
-    tape.finalize()
     return cache.e_u_final.value, cache.e_i_final.value
 
 
@@ -208,6 +207,6 @@ def transform_matrix_for_node(params: dict[str, np.ndarray], ops: GraphOperators
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
     cache = forward_model(tape, leaves, ops, dim, rank, n_layers,
                           alpha_user, alpha_item, LossConfig(), abl)
-    tape.finalize()
     tr = cache.transforms_user if side == "user" else cache.transforms_item
-    return materialize_transform(tr.w1.value[node], tr.w2.value[node])
+    return materialize_transform(tr.w1.value[node].reshape(dim, rank),
+                                 tr.w2.value[node].reshape(rank, dim))

@@ -6,6 +6,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,17 @@ def evaluate(params: dict[str, np.ndarray], ops: GraphOperators, cfg: RunConfig,
                          groups=sparsity_report(users, ranks, dataset, k))
 
 
+class RunSeeds(NamedTuple):
+    split: np.random.SeedSequence
+    init: np.random.SeedSequence
+    sampler: np.random.SeedSequence
+
+
+def run_seeds(seed: int) -> RunSeeds:
+    """A run's independent random streams, all spawned from its one seed."""
+    return RunSeeds(*np.random.SeedSequence(seed).spawn(3))
+
+
 @dataclass
 class RunBundle:
     """Everything derived from a manifest + config, ready to train or evaluate."""
@@ -122,8 +134,8 @@ def load_bundle(cfg: RunConfig, manifest: str | None = None) -> RunBundle:
     data = load_dataset(manifest or cfg.manifest, item_peer_cap=cfg.item_peer_cap,
                         seed=cfg.hyper.seed)
     graph = build_hetero_graph(data.ui_edges, data.uu_edges, data.ii_edges, data.m, data.n)
-    split_seed, _, _ = np.random.SeedSequence(cfg.hyper.seed).spawn(3)
-    dataset = split_leave_one_out(data.ui_edges, data.m, data.n, seed=split_seed)
+    dataset = split_leave_one_out(data.ui_edges, data.m, data.n,
+                                  seed=run_seeds(cfg.hyper.seed).split)
     ops = build_graph_operators(graph, cfg.dtype, no_uu=cfg.ablations.no_uu,
                                 no_ii=cfg.ablations.no_ii)
     return RunBundle(data=data, graph=graph, dataset=dataset, ops=ops)
@@ -152,12 +164,12 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
     bundle = load_bundle(cfg)
     dataset, ops = bundle.dataset, bundle.ops
 
-    _, init_seed, sampler_seed = np.random.SeedSequence(hp.seed).spawn(3)
-    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, init_seed, cfg.dtype)
+    seeds = run_seeds(hp.seed)
+    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, seeds.init, cfg.dtype)
     train_keys = trainable_keys(params, abl)
     opt_params = {k: params[k] for k in train_keys}
     state = AdamState()
-    sampler = BprSampler(dataset, seed=sampler_seed)
+    sampler = BprSampler(dataset, seed=seeds.sampler)
 
     n_batches = max(1, -(-len(dataset.train_edges) // hp.batch_size))
     log.info("training: m=%d n=%d edges=%d batches/epoch=%d ablations=%s",
@@ -189,7 +201,6 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
                 cache = forward_model(tape, leaves, ops, hp.dim, hp.rank, hp.layers,
                                       hp.alpha_user, hp.alpha_item, cfg.loss, abl,
                                       batch=batch)
-                tape.finalize()
                 backward(tape, cache.loss)
                 grads = {k: leaves[k].grad for k in opt_params}
                 adam_step(opt_params, grads, state, hp.learning_rate)

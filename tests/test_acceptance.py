@@ -107,7 +107,8 @@ def test_criterion_3_sparse_dense_equivalence():
     w2 = rng.normal(size=(40, 3, 8))
     x = rng.normal(size=(40, 8))
     tape = Tape()
-    got = tape.lowrank_apply(tape.leaf(w1), tape.leaf(w2), tape.leaf(x)).value
+    got = tape.lowrank_apply(tape.leaf(w1.reshape(40, 24)), tape.leaf(w2.reshape(40, 24)),
+                             tape.leaf(x)).value
     oracle = np.stack([w1[r] @ (w2[r] @ x[r]) for r in range(40)])
     assert np.abs(got - oracle).max() < 1e-12
     announce(f"3 sparse-dense-equivalence (spmm diff={worst:.2e})")

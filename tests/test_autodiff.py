@@ -21,7 +21,6 @@ def test_sum_grad_is_ones():
     tape = Tape()
     x = tape.leaf(np.arange(12, dtype=float).reshape(3, 4), trainable=True)
     loss = tape.sum_all(x)
-    tape.finalize()
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
@@ -30,7 +29,6 @@ def test_sigmoid_grad_at_zero_is_quarter():
     tape = Tape()
     x = tape.leaf(np.zeros((3, 2)), trainable=True)
     loss = tape.sum_all(tape.sigmoid(x))
-    tape.finalize()
     backward(tape, loss)
     np.testing.assert_allclose(x.grad, 0.25, rtol=0, atol=1e-15)
 
@@ -39,7 +37,6 @@ def test_grad_accumulates_across_uses():
     tape = Tape()
     x = tape.leaf(np.array([1.0, -2.0, 3.0]), trainable=True)
     loss = tape.sum_all(tape.add(tape.mul(x, x), x))
-    tape.finalize()
     backward(tape, loss)
     np.testing.assert_allclose(x.grad, 2 * x.value + 1, atol=1e-15)
 
@@ -73,12 +70,11 @@ def test_composite_graph_matches_finite_differences():
         x, w, b, s = ts["x"], ts["w"], ts["b"], ts["s"]
         w1, w2 = ts["w1"], ts["w2"]
         h = tape.spmm(adj, x)                      # (5, 3)
-        h = tape.add_bias(tape.matmul(h, w), b)
+        h = tape.affine(h, w, b)
         h = tape.prelu(h, s)
         h = tape.row_l2_normalize(h)
         cat = tape.concat_columns(h, h)            # (5, 6)
-        low = tape.lowrank_apply(tape.reshape_rows(w1, (6, 2)),
-                                 tape.reshape_rows(w2, (2, 6)), cat)
+        low = tape.lowrank_apply(w1, w2, cat)      # (6, 2) and (2, 6) factors
         per_row = tape.infonce_rows(low, low, 1 / 3)
         picked = tape.gather_rows(low, idx)
         extra = tape.sum_squares(picked)
@@ -100,6 +96,7 @@ def test_composite_graph_matches_finite_differences():
 # every index so that scattered gradients accumulate.
 BPR_TRIPLES = (np.array([0, 2, 2, 3, 1, 0]), np.array([1, 1, 3, 0, 2, 3]),
                np.array([2, 0, 1, 1, 3, 3]))
+AFFINE_BIAS = np.array([0.5, -1.0, 0.25, 1.5])
 
 PRIMITIVE_BUILDERS = {
     "add": lambda t, a, b: t.add(a, b),
@@ -109,7 +106,8 @@ PRIMITIVE_BUILDERS = {
     "sub": lambda t, a, b: t.bpr_rows(a, b, *BPR_TRIPLES),
     "mul": lambda t, a, b: t.mul(a, b),
     "scale": lambda t, a, b: t.scale(a, -1.7),
-    "matmul": lambda t, a, b: t.matmul(a, b),
+    # affine replaced matmul and add_bias and keeps the "matmul" case id.
+    "matmul": lambda t, a, b: t.affine(a, b, t.leaf(AFFINE_BIAS)),
     "sigmoid": lambda t, a, b: t.sigmoid(a),
     "softplus": lambda t, a, b: t.bpr_rows(a, a, *BPR_TRIPLES),
     "row_l2_normalize": lambda t, a, b: t.row_l2_normalize(a),
@@ -153,21 +151,51 @@ def test_prelu_and_gather_finite_difference(seed):
     assert grad_check(build, inputs, max_coords=None) < 1e-6
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_lowrank_and_diag_finite_difference(seed):
+def lowrank_diag_case(seed, w2_grad_scale=1.0):
+    """Builder and inputs of a low-rank apply feeding InfoNCE; the scale
+    multiplies the w2 gradient that lowrank_apply's VJP returns."""
     rng = np.random.default_rng(200 + seed)
     offset = rng.normal(size=(5, 4))
 
     def build(tape, ts):
         y = tape.lowrank_apply(ts["w1"], ts["w2"], ts["x"])
+        op, out, ins, vjp = tape._nodes[-1]
+
+        def scaled_vjp(g):
+            dw1, dw2, dx = vjp(g)
+            return dw1, dw2 * w2_grad_scale, dx
+
+        tape._nodes[-1] = (op, out, ins, scaled_vjp)
         per_row = tape.infonce_rows(y, tape.add(y, tape.leaf(offset)), 1.0)
         return tape.sum_all(per_row)
 
-    # Small factors keep the rows of y short, so the cosine gradients stay
-    # well above the central differences' rounding noise.
-    inputs = {"w1": rng.uniform(-0.25, 0.25, (5, 4, 2)),
-              "w2": rng.uniform(-0.25, 0.25, (5, 2, 4)),
+    inputs = {"w1": rng.uniform(-2, 2, (5, 8)), "w2": rng.uniform(-2, 2, (5, 8)),
               "x": rng.uniform(-2, 2, (5, 4))}
+    return build, inputs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lowrank_and_diag_finite_difference(seed):
+    build, inputs = lowrank_diag_case(seed)
+    assert grad_check(build, inputs, max_coords=None) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_grad_check_fails_a_slightly_wrong_vjp(seed):
+    # A gradient off by 1e-4 relative stays visible above the rounding floor.
+    build, inputs = lowrank_diag_case(seed, w2_grad_scale=1 + 1e-4)
+    assert grad_check(build, inputs, max_coords=None) > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_affine_finite_difference(seed):
+    rng = np.random.default_rng(300 + seed)
+
+    def build(tape, ts):
+        return tape.sum_all(tape.sigmoid(tape.affine(ts["x"], ts["w"], ts["b"])))
+
+    inputs = {"x": rng.uniform(-2, 2, (5, 3)), "w": rng.uniform(-2, 2, (3, 4)),
+              "b": rng.uniform(-2, 2, 4)}
     assert grad_check(build, inputs, max_coords=None) < 1e-6
 
 
@@ -193,7 +221,6 @@ def test_spmm_matches_dense_oracle(seed):
     y_leaf = tape.leaf(y, trainable=True)
     out_t = tape.spmm(adj_t, y_leaf)
     loss = tape.sum_all(tape.mul(out_t, tape.leaf(g)))
-    tape.finalize()
     backward(tape, loss)
     assert np.abs(out_t.value - mat.toarray().T @ y).max() < 1e-10
     assert np.abs(y_leaf.grad - mat.toarray() @ g).max() < 1e-10
@@ -218,7 +245,6 @@ def test_infonce_rows_matches_dense_closed_form():
     a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
     rows = tape.infonce_rows(a_leaf, b_leaf, tau)
     loss = tape.sum_all(tape.mul(rows, tape.leaf(weights)))
-    tape.finalize()
     backward(tape, loss)
 
     na = np.linalg.norm(a, axis=1, keepdims=True)
@@ -268,7 +294,6 @@ def test_bpr_rows_matches_closed_form(shared):
     i_leaf = u_leaf if shared else tape.leaf(e_i, trainable=True)
     rows = tape.bpr_rows(u_leaf, i_leaf, users, pos, neg)
     loss = tape.sum_all(tape.mul(rows, tape.leaf(weights)))
-    tape.finalize()
     backward(tape, loss)
 
     diff = (e_u[users] * (e_i[neg] - e_i[pos])).sum(axis=1)
@@ -292,7 +317,6 @@ def test_sum_squares_matches_closed_form():
     tape = Tape()
     leaves = [tape.leaf(x, trainable=True) for x in xs]
     loss = tape.scale(tape.sum_squares(*leaves), 0.3)
-    tape.finalize()
     backward(tape, loss)
     assert abs(float(loss.value) - 0.3 * sum((x * x).sum() for x in xs)) < 1e-12
     for x, leaf in zip(xs, leaves):
@@ -310,7 +334,8 @@ def test_lowrank_matches_per_row_loop_oracle():
     w2 = rng.normal(size=(7, 2, 4))
     x = rng.normal(size=(7, 4))
     tape = Tape()
-    out = tape.lowrank_apply(tape.leaf(w1), tape.leaf(w2), tape.leaf(x))
+    out = tape.lowrank_apply(tape.leaf(w1.reshape(7, 8)), tape.leaf(w2.reshape(7, 8)),
+                             tape.leaf(x))
     expected = np.stack([w1[r] @ (w2[r] @ x[r]) for r in range(7)])
     assert np.abs(out.value - expected).max() < 1e-12
 
@@ -333,45 +358,35 @@ def test_backward_replay_is_bit_identical():
     rng = np.random.default_rng(5)
     x_val = rng.normal(size=(6, 3))
     w_val = rng.normal(size=(3, 3))
+    b_val = rng.normal(size=3)
 
     def run():
         tape = Tape()
-        x = tape.leaf(x_val, trainable=True)
-        w = tape.leaf(w_val, trainable=True)
-        xw = tape.matmul(x, w)
+        leaves = [tape.leaf(v, trainable=True) for v in (x_val, w_val, b_val)]
+        xw = tape.affine(*leaves)
         loss = tape.sum_all(tape.infonce_rows(tape.row_l2_normalize(xw), xw, 0.2))
-        tape.finalize()
         backward(tape, loss)
-        return x.grad.copy(), w.grad.copy()
+        first = [t.grad.copy() for t in leaves]
+        backward(tape, loss)  # a second pass over the same sealed tape
+        assert [t.grad.tobytes() for t in leaves] == [g.tobytes() for g in first]
+        return first
 
-    gx1, gw1 = run()
-    gx2, gw2 = run()
-    assert gx1.tobytes() == gx2.tobytes()
-    assert gw1.tobytes() == gw2.tobytes()
-
-
-def test_backward_requires_finalized_tape():
-    tape = Tape()
-    x = tape.leaf(np.ones(3), trainable=True)
-    loss = tape.sum_all(x)
-    with pytest.raises(DiffError, match="finalized"):
-        backward(tape, loss)
+    assert [g.tobytes() for g in run()] == [g.tobytes() for g in run()]
 
 
 def test_backward_requires_scalar_loss():
     tape = Tape()
     x = tape.leaf(np.ones(3), trainable=True)
     out = tape.mul(x, x)
-    tape.finalize()
     with pytest.raises(DiffError, match="scalar"):
         backward(tape, out)
 
 
-def test_record_after_finalize_is_error():
+def test_record_after_backward_is_error():
     tape = Tape()
-    x = tape.leaf(np.ones(3))
-    tape.finalize()
-    with pytest.raises(DiffError, match="finalized"):
+    x = tape.leaf(np.ones(3), trainable=True)
+    backward(tape, tape.sum_all(x))
+    with pytest.raises(DiffError, match="after backward"):
         tape.mul(x, x)
 
 
@@ -380,7 +395,6 @@ def test_nan_gradient_names_the_primitive():
     x = tape.leaf(np.array([[np.inf, 1.0]]), trainable=True)
     with np.errstate(invalid="ignore"):  # inf * 0 inside the row scaling
         loss = tape.sum_all(tape.row_l2_normalize(x))
-    tape.finalize()
     with np.errstate(invalid="ignore"), pytest.raises(DiffError, match="row_l2_normalize"):
         backward(tape, loss)
 
@@ -390,7 +404,6 @@ def test_overflowing_gradient_names_the_primitive():
     tape = Tape()
     x = tape.leaf(np.array([1e-300]), trainable=True)
     loss = tape.sum_all(tape.scale(tape.scale(x, 1e300), 1e300))
-    tape.finalize()
     assert np.isfinite(loss.value)
     with np.errstate(over="ignore"), pytest.raises(DiffError, match="non-finite.*'scale'"):
         backward(tape, loss)
@@ -413,10 +426,16 @@ def test_shape_mismatches_raise():
         tape.add(a, b)
     with pytest.raises(ValueError):
         tape.mul(a, b)
-    with pytest.raises(ValueError):
-        tape.add_bias(a, tape.leaf(np.ones(2)))
-    with pytest.raises(ValueError):
-        tape.matmul(a, tape.leaf(np.ones((2, 2))))
+    with pytest.raises(ValueError, match="affine"):  # bias width differs
+        tape.affine(a, b, tape.leaf(np.ones(3)))
+    with pytest.raises(ValueError, match="affine"):  # inner widths differ
+        tape.affine(a, tape.leaf(np.ones((2, 2))), tape.leaf(np.ones(2)))
+    for w1, w2 in ((np.ones((2, 4)), np.ones((2, 4))),     # width not a multiple of d
+                   (np.ones((2, 6)), np.ones((2, 3))),     # factor widths differ
+                   (np.ones((3, 6)), np.ones((3, 6))),     # row counts differ
+                   (np.ones((2, 3, 2)), np.ones((2, 6)))):  # not flat
+        with pytest.raises(ValueError, match="lowrank_apply"):
+            tape.lowrank_apply(tape.leaf(w1), tape.leaf(w2), a)
     for other in (np.ones((4, 3)), np.ones((2, 2))):  # rows differ, columns differ
         with pytest.raises(ValueError, match="infonce_rows"):
             tape.infonce_rows(a, tape.leaf(other), 0.2)

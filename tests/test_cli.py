@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgcl.checkpoint import load_checkpoint
-from hgcl.cli import cli_main
+from hgcl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from hgcl.cli import _load_for_checkpoint, cli_main
 from hgcl.config import config_from_text
 from hgcl.meta import read_transform_csv
 
@@ -94,6 +94,35 @@ def test_eval_dimension_mismatch_exits_two(pipeline, tmp_path, capsys):
     code = cli_main(["eval", "--checkpoint", str(root / "out" / "model.ckpt"),
                      "--data", str(tmp_path / "other" / "manifest.txt")])
     assert code == 2
+
+
+# Each case edits a loaded checkpoint and names what the edit breaks.
+CHECKPOINT_EDITS = {
+    "missing_parameter": ("item_mlp2_b_out", lambda c: c.params.pop("item_mlp2_b_out")),
+    "reshaped_parameter": ("user_gate_w", lambda c: c.params.update(
+        user_gate_w=c.params["user_gate_w"].reshape(8, 32))),
+    "unknown_parameter": ("extra_w", lambda c: c.params.update(extra_w=np.zeros(2))),
+    "id_table_longer_than_n": ("item_ids", lambda c: setattr(
+        c, "item_ids", np.arange(c.n + 1))),
+    "short_user_id_table": ("user_ids", lambda c: setattr(c, "user_ids", c.user_ids[:3])),
+    "reordered_item_id_table": ("item_ids", lambda c: setattr(
+        c, "item_ids", c.item_ids[::-1].copy())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_EDITS))
+def test_eval_rejects_mismatched_checkpoint(pipeline, tmp_path, caplog, case):
+    root, _ = pipeline
+    name, edit = CHECKPOINT_EDITS[case]
+    ckpt = load_checkpoint(root / "out" / "model.ckpt")
+    edit(ckpt)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    manifest = str(root / "data" / "manifest.txt")
+    with pytest.raises(CheckpointError, match=f"'{name}'"):
+        _load_for_checkpoint(str(bad), manifest)
+    assert cli_main(["eval", "--checkpoint", str(bad), "--data", manifest]) == 2
+    assert f"'{name}'" in caplog.text
 
 
 def test_ablate_flags_accumulate(pipeline, tmp_path):

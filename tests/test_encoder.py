@@ -152,7 +152,6 @@ def run_encode(graph, e_u0, e_i0, w_u, b_u, w_i, b_i, n_layers):
     views = encode(tape, tape.leaf(e_u0), tape.leaf(e_i0),
                    gate_of(tape, w_u, b_u), gate_of(tape, w_i, b_i),
                    ops, n_layers)
-    tape.finalize()
     return views
 
 

@@ -84,29 +84,37 @@ def test_transform_product_has_rank_at_most_k():
     tr = generate_transforms(tape, meta, make_mlp(tape, 3 * d, d, d * k, rng),
                              make_mlp(tape, 3 * d, d, k * d, rng), d, k)
     for r in range(5):
-        dense = materialize_transform(tr.w1.value[r], tr.w2.value[r])
+        dense = materialize_transform(tr.w1.value[r].reshape(d, k), tr.w2.value[r].reshape(k, d))
         s = np.linalg.svd(dense, compute_uv=False)
         assert s[k] < 1e-8 * s[0]
 
 
 def test_reshape_order_is_row_major():
+    # lowrank_apply reads each flat MLP output row as a row-major factor.
     d, k = 3, 2
     tape = Tape()
     meta = tape.leaf(np.zeros((1, 9)))
     flat = np.arange(d * k, dtype=float)
-    mlp1 = MetaMLP(w_in=tape.leaf(np.zeros((9, 3))), b_in=tape.leaf(np.zeros(3)),
-                   slope=tape.leaf(np.asarray(0.25)),
-                   w_out=tape.leaf(np.zeros((3, d * k))), b_out=tape.leaf(flat))
-    out = mlp_apply(tape, mlp1, meta)
-    reshaped = tape.reshape_rows(out, (d, k))
-    np.testing.assert_array_equal(reshaped.value[0], flat.reshape(d, k))
+
+    def constant_mlp(row):
+        return MetaMLP(w_in=tape.leaf(np.zeros((9, 3))), b_in=tape.leaf(np.zeros(3)),
+                       slope=tape.leaf(np.asarray(0.25)),
+                       w_out=tape.leaf(np.zeros((3, d * k))), b_out=tape.leaf(row))
+
+    w1 = mlp_apply(tape, constant_mlp(flat), meta)
+    w2 = mlp_apply(tape, constant_mlp(flat[::-1].copy()), meta)
+    np.testing.assert_array_equal(w1.value[0], flat)
+    x = np.array([[1.0, -2.0, 0.5]])
+    out = tape.lowrank_apply(w1, w2, tape.leaf(x))
+    expected = flat.reshape(d, k) @ (flat[::-1].reshape(k, d) @ x[0])
+    np.testing.assert_array_equal(out.value[0], expected)
 
 
 def test_identity_factors_pass_nonnegative_rows_through():
     d = 3
     tape = Tape()
     from hgcl.meta import PersonalTransforms
-    eye = np.stack([np.eye(d)] * 2)
+    eye = np.stack([np.eye(d).ravel()] * 2)
     tr = PersonalTransforms(w1=tape.leaf(eye), w2=tape.leaf(eye))
     e_aux = tape.leaf(np.array([[1.0, 0.0, 2.0], [0.5, 3.0, 0.0]]))
     out = apply_transform(tape, tr, e_aux, tape.leaf(np.asarray(0.25)))
@@ -117,8 +125,8 @@ def test_zero_transforms_zero_output():
     d, k = 4, 2
     tape = Tape()
     from hgcl.meta import PersonalTransforms
-    tr = PersonalTransforms(w1=tape.leaf(np.zeros((3, d, k))),
-                            w2=tape.leaf(np.zeros((3, k, d))))
+    tr = PersonalTransforms(w1=tape.leaf(np.zeros((3, d * k))),
+                            w2=tape.leaf(np.zeros((3, k * d))))
     out = apply_transform(tape, tr, tape.leaf(np.ones((3, d))),
                           tape.leaf(np.asarray(0.25)))
     np.testing.assert_array_equal(out.value, 0.0)
@@ -133,8 +141,9 @@ def test_apply_transform_matches_dense_loop_oracle():
     slope = 0.3
     tape = Tape()
     from hgcl.meta import PersonalTransforms
-    out = apply_transform(tape, PersonalTransforms(w1=tape.leaf(w1), w2=tape.leaf(w2)),
-                          tape.leaf(x), tape.leaf(np.asarray(slope)))
+    tr = PersonalTransforms(w1=tape.leaf(w1.reshape(6, d * k)),
+                            w2=tape.leaf(w2.reshape(6, k * d)))
+    out = apply_transform(tape, tr, tape.leaf(x), tape.leaf(np.asarray(slope)))
     for r in range(6):
         pre = (w1[r] @ w2[r]) @ x[r]
         expected = np.where(pre >= 0, pre, slope * pre)

@@ -12,6 +12,7 @@ from hgcl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                              save_checkpoint)
 from hgcl.config import config_from_text, with_ablations
 from hgcl.dataset import InteractionDataset
+from hgcl.model import init_params
 from hgcl.trainer import (evaluate, evaluate_ranks, load_bundle, rank_metrics,
                         sparsity_report, train)
 
@@ -120,7 +121,8 @@ def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, mon
 
 def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkeypatch):
     # BPR and its L2 term are one node each; the three sum_all nodes are the
-    # BPR sum and the two contrastive sums.
+    # BPR sum and the two contrastive sums. The two self-gates and the four
+    # two-layer meta MLPs record one affine node per layer.
     import hgcl.trainer as train_mod
     real, steps = train_mod.backward, []
 
@@ -131,8 +133,8 @@ def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkey
     monkeypatch.setattr(train_mod, "backward", recording)
     train(small_config(small_manifest, tmp_path, epochs=1), write_outputs=False)
     ops = steps[0]
-    assert sum(ops.values()) == 96
-    assert (ops["bpr_rows"], ops["sum_squares"], ops["sum_all"]) == (1, 1, 3)
+    assert sum(ops.values()) == 82
+    assert (ops["bpr_rows"], ops["sum_squares"], ops["sum_all"], ops["affine"]) == (1, 1, 3, 10)
 
 
 def test_no_cl_ablation_removes_contrastive_terms(small_manifest, tmp_path):
@@ -169,19 +171,18 @@ def test_checkpoint_round_trip_and_reloaded_metrics(trained_small):
 
 
 def test_checkpoint_save_load_bitwise(tmp_path):
-    rng = np.random.default_rng(0)
     ckpt = Checkpoint(m=3, n=4, dim=2, rank=1, layers=2, config_text="[data]\n",
                       user_ids=np.array([5, 8, 9]), item_ids=np.array([1, 2, 3, 4]),
-                      params={"a": rng.normal(size=(3, 2)),
-                              "slope": np.asarray(0.25)})
+                      params=init_params(3, 4, 2, 1, seed=0))
     path = tmp_path / "x.ckpt"
     save_checkpoint(ckpt, path)
     first = path.read_bytes()
     loaded = load_checkpoint(path)
     save_checkpoint(loaded, path)
     assert path.read_bytes() == first
-    np.testing.assert_array_equal(loaded.params["a"], ckpt.params["a"])
-    assert loaded.params["slope"].shape == ()
+    for name, arr in ckpt.params.items():
+        np.testing.assert_array_equal(loaded.params[name], arr)
+    assert loaded.params["user_transfer_slope"].shape == ()
 
 
 def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
