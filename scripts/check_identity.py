@@ -17,10 +17,14 @@ each side also runs ``export-transforms`` for user 17 and item 17 and
 ``grad-check`` on that config, whose stdout is compared.
 
 Prints one line per training, one per transform CSV and one for grad-check,
-and exits 1 if any output differs.
+and exits 1 if any output differs. When a training's ``epochs.jsonl`` differs,
+a further line gives the worst relative difference ``|a - b| / max(|a|, |b|)``
+over its epochs for each numeric field, so that a change which gives up
+bit-identity on purpose can state its drift.
 """
 import argparse
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -58,6 +62,22 @@ def hgcl(tree: Path, work: Path, *args: str) -> bytes:
     if proc.returncode != 0:
         sys.exit(f"hgcl {' '.join(args)} failed in {tree}:\n{proc.stderr.decode()}")
     return proc.stdout
+
+
+def drift(base: Path, change: Path) -> str:
+    """Worst relative difference per numeric field of two ``epochs.jsonl`` files."""
+    lines = [p.read_text(encoding="utf-8").splitlines() for p in (base, change)]
+    worst: dict[str, float] = {}
+    for a, b in zip(*(map(json.loads, side) for side in lines)):
+        for key, x in a.items():
+            y = b.get(key)
+            if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+                scale = max(abs(x), abs(y))
+                worst[key] = max(worst.get(key, 0.0), abs(x - y) / scale if scale else 0.0)
+    fields = ", ".join(f"{key} {value:.1e}" if value else f"{key} 0"
+                       for key, value in worst.items())
+    counts = len(lines[0]), len(lines[1])
+    return fields if counts[0] == counts[1] else f"{fields} (epochs {counts[0]} vs {counts[1]})"
 
 
 def run_side(tree: Path, work: Path, keep: Path, run) -> None:
@@ -110,6 +130,9 @@ def main() -> int:
                 failed += bool(bad)
                 print(f"{'DIFFERENT' if bad else 'identical'}  {label:34s} "
                       f"{', '.join(bad or names)}", flush=True)
+                if "epochs.jsonl" in bad:
+                    print(f"{'':11s}drift: {drift(base / 'epochs.jsonl', change / 'epochs.jsonl')}",
+                          flush=True)
     print(f"{failed} comparisons differ from {args.against}" if failed
           else f"every output is byte-identical to {args.against}")
     return 1 if failed else 0

@@ -19,6 +19,9 @@ log = logging.getLogger(__name__)
 # row_l2_normalize and treated as similarity 0 by infonce_rows.
 NORM_FLOOR = 1e-12
 
+# Anchor rows per block in infonce_rows: it holds O(INFONCE_CHUNK * N) floats, not N x N.
+INFONCE_CHUNK = 512
+
 
 class DiffError(RuntimeError):
     """Tape misuse or a numerical failure during the backward pass."""
@@ -276,7 +279,8 @@ class Tape:
     def infonce_rows(self, anchors: Tensor, targets: Tensor, temperature: float) -> Tensor:
         """Per-anchor InfoNCE ``logsumexp_j(C_ij / t) - C_ii / t`` over the cosine
         matrix ``C`` of anchor rows against target rows, aligned pairs on its
-        diagonal. The VJP is ``(softmax - I) / t`` through the normalisation."""
+        diagonal, in blocks of ``INFONCE_CHUNK`` anchor rows. The VJP is
+        ``(softmax - I) / t`` through the normalisation."""
         av, bv = anchors.value, targets.value
         if av.ndim != 2 or av.shape != bv.shape:
             raise ValueError(f"infonce_rows: incompatible shapes {anchors.shape}, {targets.shape}")
@@ -291,28 +295,42 @@ class Tape:
         inv_b = np.where(zb, 0.0, 1.0 / np.where(zb, 1.0, nb))
         ah = av * inv_a[:, None]
         bh = bv * inv_b[:, None]
-        c = ah @ bh.T
-        rng = np.arange(av.shape[0])
-        # The logits buffer becomes the row softmax in place, after its
-        # diagonal and row maxima are read.
-        softmax = c * inv_tau
-        diag = softmax[rng, rng]
-        mx = softmax.max(axis=1)
-        softmax -= mx[:, None]
-        np.exp(softmax, out=softmax)
-        s = softmax.sum(axis=1)
-        softmax /= s[:, None]
+        # Forward keeps only the per-row logsumexp; the VJP rebuilds each block's
+        # logits z, in which z[:, blk] is square with the aligned pairs on its diagonal.
+        blocks = [slice(i, i + INFONCE_CHUNK) for i in range(0, len(av), INFONCE_CHUNK)]
+
+        def logits(blk):
+            z = ah[blk] @ bh.T
+            z *= inv_tau
+            return z
+
+        lse, diag = np.empty(len(av), ah.dtype), np.empty(len(av), ah.dtype)
+        for blk in blocks:
+            z = logits(blk)
+            diag[blk] = z[:, blk].diagonal()
+            mx = z.max(axis=1)
+            z -= mx[:, None]
+            np.exp(z, out=z)
+            lse[blk] = mx + np.log(z.sum(axis=1))
 
         def vjp(g):
-            gs = softmax * g[:, None]
-            gs[rng, rng] -= g
-            gs *= inv_tau
-            gc = gs * c
-            da = (gs @ bh - ah * gc.sum(axis=1)[:, None]) * inv_a[:, None]
-            db = (gs.T @ ah - bh * gc.sum(axis=0)[:, None]) * inv_b[:, None]
+            # p = (softmax - I) * g / t per block; ga = p @ bh, gb = p.T @ ah.
+            ga, gb = np.empty_like(ah), np.zeros_like(bh)
+            for blk in blocks:
+                p = logits(blk)
+                p -= lse[blk, None]
+                np.exp(p, out=p)
+                p *= g[blk, None]
+                p[:, blk][np.diag_indices(len(p))] -= g[blk]
+                p *= inv_tau
+                ga[blk] = p @ bh
+                gb += p.T @ ah[blk]
+            # Row i of p * C sums to ah_i . ga_i and column j to bh_j . gb_j.
+            da = (ga - ah * (ah * ga).sum(axis=1)[:, None]) * inv_a[:, None]
+            db = (gb - bh * (bh * gb).sum(axis=1)[:, None]) * inv_b[:, None]
             return (da, db)
 
-        return self._emit("infonce_rows", mx + np.log(s) - diag, (anchors, targets), vjp)
+        return self._emit("infonce_rows", lse - diag, (anchors, targets), vjp)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

@@ -47,9 +47,8 @@ def extract_meta_knowledge(tape: Tape, e_view: Tensor, e_aux: Tensor,
     return tape.concat_columns(e_view, e_aux, neighbor_sum)
 
 
-def generate_transforms(tape: Tape, meta: Tensor, mlp1: MetaMLP, mlp2: MetaMLP,
-                        dim: int, rank: int) -> PersonalTransforms:
-    """Per-node (dim, rank) and (rank, dim) factors, one MLP output row each."""
+def generate_transforms(tape: Tape, meta: Tensor, mlp1: MetaMLP, mlp2: MetaMLP) -> PersonalTransforms:
+    """Per-node (d, k) and (k, d) factors, one flat MLP output row each."""
     return PersonalTransforms(w1=mlp_apply(tape, mlp1, meta), w2=mlp_apply(tape, mlp2, meta))
 
 

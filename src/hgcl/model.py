@@ -133,13 +133,11 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
     e_uu_m = e_ii_m = None
     if ops.uu is not None and not abl.no_meta:
         m_uu = extract_meta_knowledge(tape, views.e_u, views.e_uu, ops.inc_ui, views.e_i)
-        tr_u = generate_transforms(tape, m_uu, _mlp(leaves, "user_mlp1"),
-                                   _mlp(leaves, "user_mlp2"), dim, rank)
+        tr_u = generate_transforms(tape, m_uu, _mlp(leaves, "user_mlp1"), _mlp(leaves, "user_mlp2"))
         e_uu_m = apply_transform(tape, tr_u, views.e_uu, leaves["user_transfer_slope"])
     if ops.ii is not None and not abl.no_meta:
         m_ii = extract_meta_knowledge(tape, views.e_i, views.e_ii, ops.inc_ui.T, views.e_u)
-        tr_i = generate_transforms(tape, m_ii, _mlp(leaves, "item_mlp1"),
-                                   _mlp(leaves, "item_mlp2"), dim, rank)
+        tr_i = generate_transforms(tape, m_ii, _mlp(leaves, "item_mlp1"), _mlp(leaves, "item_mlp2"))
         e_ii_m = apply_transform(tape, tr_i, views.e_ii, leaves["item_transfer_slope"])
 
     if ops.uu is not None:

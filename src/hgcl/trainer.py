@@ -172,9 +172,14 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
     sampler = BprSampler(dataset, seed=seeds.sampler)
 
     n_batches = max(1, -(-len(dataset.train_edges) // hp.batch_size))
-    log.info("training: m=%d n=%d edges=%d batches/epoch=%d ablations=%s",
-             bundle.data.m, bundle.data.n, bundle.graph.total_edges, n_batches,
-             ",".join(abl.names()) or "none")
+    # The contrastive negative pool per side, decided as forward_model decides it.
+    cl_on = not abl.no_cl and cfg.loss.cl_weight > 0
+    negatives = ["off" if adj is None or not cl_on else
+                 "full" if cfg.loss.use_full_negatives(adj.shape[0]) else "batch"
+                 for adj in (ops.uu, ops.ii)]
+    log.info("training: m=%d n=%d edges=%d batches/epoch=%d ablations=%s "
+             "cl_negatives user=%s item=%s", bundle.data.m, bundle.data.n,
+             bundle.graph.total_edges, n_batches, ",".join(abl.names()) or "none", *negatives)
 
     curve: list[dict] = []
     epoch_seconds: list[float] = []

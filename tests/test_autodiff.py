@@ -2,6 +2,7 @@
 dense oracles, plus the tape's error contract."""
 import ast
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgcl import autodiff
 from hgcl.autodiff import (DiffError, SparseMatrix, Tape, backward, grad_check)
 
 
@@ -232,14 +234,20 @@ def test_spmm_matches_dense_oracle(seed):
     assert grad_check(build, {"y": y}, max_coords=64) < 1e-6
 
 
-def test_infonce_rows_matches_dense_closed_form():
+@pytest.mark.parametrize("chunk", [None, 4], ids=["default", "chunk4"])
+def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk):
     # Values and gradients against the closed form written out in numpy, with
-    # one zero-norm anchor row (similarity 0, zero gradient) among the inputs.
+    # one zero-norm anchor row and one zero-norm target row (similarity 0,
+    # zero gradient). At chunk 4 the 9 rows run as blocks of 4, 4 and 1: the
+    # zero anchor opens the second block and the zero target is the last one.
+    if chunk is not None:
+        monkeypatch.setattr(autodiff, "INFONCE_CHUNK", chunk)
     rng = np.random.default_rng(11)
     n, d, tau = 9, 5, 0.3
     a = rng.normal(size=(n, d))
     b = rng.normal(size=(n, d))
     a[4] = 0.0
+    b[8] = 0.0
     weights = rng.uniform(0.5, 2.0, n)
     tape = Tape()
     a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
@@ -250,7 +258,7 @@ def test_infonce_rows_matches_dense_closed_form():
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
     ah = np.divide(a, na, out=np.zeros_like(a), where=na > 0)
-    bh = b / nb
+    bh = np.divide(b, nb, out=np.zeros_like(b), where=nb > 0)
     logits = ah @ bh.T / tau
     expected = np.log(np.exp(logits).sum(axis=1)) - np.diag(logits)
     softmax = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
@@ -259,23 +267,42 @@ def test_infonce_rows_matches_dense_closed_form():
     # d(x/|x|)/dx = (I - x_hat x_hat^T) / |x|, applied row by row.
     proj_a = np.einsum("ij,ik->ijk", ah, ah)
     proj_b = np.einsum("ij,ik->ijk", bh, bh)
-    safe_na = np.where(na > 0, na, 1.0)
-    expected_da = np.einsum("ijk,ik->ij", np.eye(d) - proj_a, g_ah) / safe_na
+    expected_da = np.einsum("ijk,ik->ij", np.eye(d) - proj_a, g_ah) / np.where(na > 0, na, 1.0)
+    expected_db = np.einsum("ijk,ik->ij", np.eye(d) - proj_b, g_bh) / np.where(nb > 0, nb, 1.0)
     expected_da[4] = 0.0
-    expected_db = np.einsum("ijk,ik->ij", np.eye(d) - proj_b, g_bh) / nb
+    expected_db[8] = 0.0
 
     np.testing.assert_allclose(rows.value, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=1e-12)
     assert np.all(a_leaf.grad[4] == 0.0)
+    assert np.all(b_leaf.grad[8] == 0.0)
 
     def build(tp, t):
         return tp.sum_all(tp.infonce_rows(t["a"], t["b"], tau))
 
-    # Off the zero row: a probe there lifts the row above NORM_FLOOR, where
+    # Off the zero rows: a probe there lifts the row above NORM_FLOOR, where
     # the loss is discontinuous by design.
-    kept = {"a": np.delete(a, 4, axis=0), "b": np.delete(b, 4, axis=0)}
+    kept = {"a": np.delete(a, [4, 8], axis=0), "b": np.delete(b, [4, 8], axis=0)}
     assert grad_check(build, kept, max_coords=None) < 1e-6
+
+
+def test_infonce_rows_memory_stays_below_one_square_matrix():
+    # Forward plus VJP over four blocks of rows never holds an n x n array:
+    # the traced peak stays under the 32 MiB one such f64 array would take.
+    n, d = 4 * autodiff.INFONCE_CHUNK, 32
+    rng = np.random.default_rng(13)
+    a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
+        backward(tape, tape.sum_all(tape.infonce_rows(a_leaf, b_leaf, 0.2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a_leaf.grad.shape == b_leaf.grad.shape == (n, d)
+    assert peak < n * n * 8, f"peak {peak} B"
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["two_tables", "one_table"])

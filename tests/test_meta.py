@@ -58,7 +58,7 @@ def test_zero_mlps_emit_zero_transforms():
     meta = tape.leaf(np.random.default_rng(0).normal(size=(3, 3 * d)))
     mlp1 = make_mlp(tape, 3 * d, d, d * k, zero=True)
     mlp2 = make_mlp(tape, 3 * d, d, k * d, zero=True)
-    tr = generate_transforms(tape, meta, mlp1, mlp2, d, k)
+    tr = generate_transforms(tape, meta, mlp1, mlp2)
     np.testing.assert_array_equal(tr.w1.value, 0.0)
     np.testing.assert_array_equal(tr.w2.value, 0.0)
 
@@ -70,7 +70,7 @@ def test_identical_meta_rows_share_transforms():
     tape = Tape()
     meta = tape.leaf(np.stack([row, row, rng.normal(size=3 * d)]))
     tr = generate_transforms(tape, meta, make_mlp(tape, 3 * d, d, d * k, rng),
-                             make_mlp(tape, 3 * d, d, k * d, rng), d, k)
+                             make_mlp(tape, 3 * d, d, k * d, rng))
     np.testing.assert_array_equal(tr.w1.value[0], tr.w1.value[1])
     np.testing.assert_array_equal(tr.w2.value[0], tr.w2.value[1])
     assert not np.array_equal(tr.w1.value[0], tr.w1.value[2])
@@ -82,7 +82,7 @@ def test_transform_product_has_rank_at_most_k():
     tape = Tape()
     meta = tape.leaf(rng.normal(size=(5, 3 * d)))
     tr = generate_transforms(tape, meta, make_mlp(tape, 3 * d, d, d * k, rng),
-                             make_mlp(tape, 3 * d, d, k * d, rng), d, k)
+                             make_mlp(tape, 3 * d, d, k * d, rng))
     for r in range(5):
         dense = materialize_transform(tr.w1.value[r].reshape(d, k), tr.w2.value[r].reshape(k, d))
         s = np.linalg.svd(dense, compute_uv=False)
@@ -177,7 +177,7 @@ def test_perturbing_one_meta_row_only_changes_that_node():
         rng_local = np.random.default_rng(99)
         tr = generate_transforms(tape, tape.leaf(meta_rows),
                                  make_mlp(tape, 3 * d, d, d * k, rng_local),
-                                 make_mlp(tape, 3 * d, d, k * d, rng_local), d, k)
+                                 make_mlp(tape, 3 * d, d, k * d, rng_local))
         return tr.w1.value.copy(), tr.w2.value.copy()
 
     w1_a, w2_a = transforms_for(meta_base)
@@ -204,7 +204,7 @@ def test_full_transfer_chain_gradients():
                        w_out=ts["w_out2"], b_out=ts["b_out2"])
         meta = extract_meta_knowledge(tape, ts["e_view"], ts["e_aux"], inc,
                                       tape.leaf(e_other))
-        tr = generate_transforms(tape, meta, mlp1, mlp2, d, k)
+        tr = generate_transforms(tape, meta, mlp1, mlp2)
         transferred = apply_transform(tape, tr, ts["e_aux"], ts["s3"])
         fused = fuse_final(tape, ts["e_view"], ts["e_aux"], transferred, 0.8)
         return tape.sum_all(tape.mul(fused, tape.leaf(weights)))

@@ -146,6 +146,23 @@ def test_no_cl_ablation_removes_contrastive_terms(small_manifest, tmp_path):
         assert abs(record["loss"] - record["bpr"]) < 1e-12
 
 
+@pytest.mark.parametrize("ablate, expected", [
+    ([], "cl_negatives user=full item=batch"),
+    (["uu"], "cl_negatives user=off item=batch"),
+    (["cl"], "cl_negatives user=off item=off"),
+], ids=["auto", "no_uu", "no_cl"])
+def test_training_log_names_cl_negatives_per_side(small_manifest, tmp_path, monkeypatch,
+                                                  caplog, ablate, expected):
+    # With the limit at 100, the 60 users get full-set and the 160 items
+    # in-batch negatives under cl_negatives=auto.
+    import hgcl.objectives as objectives
+    monkeypatch.setattr(objectives, "FULL_NEGATIVES_LIMIT", 100)
+    cfg = with_ablations(small_config(small_manifest, tmp_path, epochs=1), ablate)
+    with caplog.at_level("INFO", logger="hgcl.trainer"):
+        train(cfg, write_outputs=False)
+    assert expected in caplog.text
+
+
 def test_identical_config_and_seed_reproduce_checkpoint_bytes(small_manifest, tmp_path):
     cfg = small_config(small_manifest, tmp_path, epochs=4, seed=3)
     train(cfg)
