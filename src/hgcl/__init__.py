@@ -1,10 +1,10 @@
 """Heterogeneous graph contrastive recommender with meta-network knowledge transfer."""
 
 from .autodiff import DiffError, SparseMatrix, Tape, Tensor, backward, grad_check
-from .config import Hyperparams, RunConfig, parse_config, serialize_config
+from .config import Ablations, Hyperparams, RunConfig, parse_config, serialize_config
 from .dataset import BprSampler, InteractionDataset, split_leave_one_out
 from .graphs import HeteroGraph, build_hetero_graph, load_dataset, load_edge_file
-from .model import Ablations, forward_model, init_params
+from .model import forward_model, init_params
 from .objectives import LossConfig, predict_scores
 from .synthetic import generate_synthetic
 from .trainer import MetricsReport, evaluate, train

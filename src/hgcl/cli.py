@@ -120,10 +120,7 @@ def _cmd_export_transforms(args) -> int:
     hits = np.flatnonzero(ids == args.node)
     if len(hits) == 0:
         raise RuntimeError(f"unknown {args.side} id {args.node}")
-    hp = cfg.hyper
-    matrix = transform_matrix_for_node(params, bundle.ops, hp.dim, hp.rank, hp.layers,
-                                       hp.alpha_user, hp.alpha_item, cfg.ablations,
-                                       int(hits[0]), args.side)
+    matrix = transform_matrix_for_node(params, bundle.ops, cfg, int(hits[0]), args.side)
     write_transform_csv(matrix, args.out)
     log.info("wrote %dx%d transform of %s %d to %s",
              matrix.shape[0], matrix.shape[1], args.side, args.node, args.out)
@@ -145,10 +142,7 @@ def _cmd_grad_check(args) -> int:
         leaves = dict(tensors)
         for k, v in frozen.items():
             leaves[k] = tape.leaf(v, name=k)
-        cache = forward_model(tape, leaves, bundle.ops, hp.dim, hp.rank, hp.layers,
-                              hp.alpha_user, hp.alpha_item, cfg.loss, cfg.ablations,
-                              batch=batch)
-        return cache.loss
+        return forward_model(tape, leaves, bundle.ops, cfg, batch=batch).loss
 
     err = grad_check(builder, {k: params[k] for k in keys}, max_coords=args.max_coords)
     print(f"max relative gradient error: {err:.3e} (threshold {GRAD_CHECK_THRESHOLD:.0e})")

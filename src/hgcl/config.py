@@ -9,10 +9,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Ablations
 from .objectives import LossConfig
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class Ablations:
+    no_cl: bool = False
+    no_meta: bool = False
+    no_uu: bool = False
+    no_ii: bool = False
+
+    @classmethod
+    def from_names(cls, names) -> "Ablations":
+        names = set(names or ())
+        unknown = names - {"cl", "meta", "uu", "ii"}
+        if unknown:
+            raise ValueError(f"unknown ablation(s): {sorted(unknown)}")
+        return cls(no_cl="cl" in names, no_meta="meta" in names,
+                   no_uu="uu" in names, no_ii="ii" in names)
+
+    def names(self) -> list[str]:
+        return [n for n, on in (("cl", self.no_cl), ("meta", self.no_meta),
+                                ("uu", self.no_uu), ("ii", self.no_ii)) if on]
 
 
 @dataclass(frozen=True)

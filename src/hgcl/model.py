@@ -6,34 +6,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
+from .config import Ablations, RunConfig
 from .encoder import GateParams, GraphOperators, ViewEmbeddings, encode
 from .meta import (MetaMLP, PersonalTransforms, apply_transform,
                    extract_meta_knowledge, fuse_final, generate_transforms,
                    materialize_transform)
-from .objectives import LossConfig, bpr_loss, infonce_loss, total_loss
+from .objectives import bpr_loss, infonce_loss, total_loss
 
 PRELU_INIT = 0.25
-
-
-@dataclass(frozen=True)
-class Ablations:
-    no_cl: bool = False
-    no_meta: bool = False
-    no_uu: bool = False
-    no_ii: bool = False
-
-    @classmethod
-    def from_names(cls, names) -> "Ablations":
-        names = set(names or ())
-        unknown = names - {"cl", "meta", "uu", "ii"}
-        if unknown:
-            raise ValueError(f"unknown ablation(s): {sorted(unknown)}")
-        return cls(no_cl="cl" in names, no_meta="meta" in names,
-                   no_uu="uu" in names, no_ii="ii" in names)
-
-    def names(self) -> list[str]:
-        return [n for n, on in (("cl", self.no_cl), ("meta", self.no_meta),
-                                ("uu", self.no_uu), ("ii", self.no_ii)) if on]
 
 
 def _xavier(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -119,15 +99,24 @@ def _mlp(leaves, prefix: str) -> MetaMLP:
                    b_out=leaves[f"{prefix}_b_out"])
 
 
-def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
-                  dim: int, rank: int, n_layers: int, alpha_user: float, alpha_item: float,
-                  loss_cfg: LossConfig, abl: Ablations,
+def cl_negative_pools(ops: GraphOperators, cfg: RunConfig) -> tuple[str, str]:
+    """The contrastive negative pool of the user and the item side: ``full``
+    (every node of the side), ``batch`` (the batch's nodes) or ``off`` (no
+    contrastive term: CL ablated, ``cl_weight = 0``, or the side's view ablated)."""
+    cl_on = not cfg.ablations.no_cl and cfg.loss.cl_weight > 0
+    return tuple("off" if adj is None or not cl_on else
+                 "full" if cfg.loss.use_full_negatives(adj.shape[0]) else "batch"
+                 for adj in (ops.uu, ops.ii))
+
+
+def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cfg: RunConfig,
                   batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardCache:
     """Encode, transfer, fuse, and (when a batch is given) assemble the loss."""
+    hp, abl = cfg.hyper, cfg.ablations
     views = encode(tape, leaves["user_emb"], leaves["item_emb"],
                    _gate(leaves, "user") if ops.uu is not None else None,
                    _gate(leaves, "item") if ops.ii is not None else None,
-                   ops, n_layers)
+                   ops, hp.layers)
 
     tr_u = tr_i = None
     e_uu_m = e_ii_m = None
@@ -141,11 +130,11 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
         e_ii_m = apply_transform(tape, tr_i, views.e_ii, leaves["item_transfer_slope"])
 
     if ops.uu is not None:
-        e_u_final = fuse_final(tape, views.e_u, views.e_uu, e_uu_m, alpha_user)
+        e_u_final = fuse_final(tape, views.e_u, views.e_uu, e_uu_m, hp.alpha_user)
     else:
         e_u_final = views.e_u
     if ops.ii is not None:
-        e_i_final = fuse_final(tape, views.e_i, views.e_ii, e_ii_m, alpha_item)
+        e_i_final = fuse_final(tape, views.e_i, views.e_ii, e_ii_m, hp.alpha_item)
     else:
         e_i_final = views.e_i
 
@@ -155,41 +144,37 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators,
         return cache
 
     users, pos, neg = batch
+    loss_cfg = cfg.loss
     reg = [leaves[k] for k in regularized_keys(leaves, abl)]
     cache.bpr = bpr_loss(tape, e_u_final, e_i_final, batch, reg, loss_cfg.l2_weight)
 
-    if not abl.no_cl and loss_cfg.cl_weight > 0:
-        if ops.uu is not None:
-            anchors = tape.add(e_uu_m, views.e_uu) if e_uu_m is not None else views.e_uu
-            cands = None if loss_cfg.use_full_negatives(ops.uu.shape[0]) else np.unique(users)
-            cache.cl_user = infonce_loss(tape, anchors, views.e_u, cands, loss_cfg.temperature)
-        if ops.ii is not None:
-            anchors = tape.add(e_ii_m, views.e_ii) if e_ii_m is not None else views.e_ii
-            cands = (None if loss_cfg.use_full_negatives(ops.ii.shape[0])
-                     else np.unique(np.concatenate([pos, neg])))
-            cache.cl_item = infonce_loss(tape, anchors, views.e_i, cands, loss_cfg.temperature)
+    pool_u, pool_i = cl_negative_pools(ops, cfg)
+    if pool_u != "off":
+        anchors = tape.add(e_uu_m, views.e_uu) if e_uu_m is not None else views.e_uu
+        cands = None if pool_u == "full" else np.unique(users)
+        cache.cl_user = infonce_loss(tape, anchors, views.e_u, cands, loss_cfg.temperature)
+    if pool_i != "off":
+        anchors = tape.add(e_ii_m, views.e_ii) if e_ii_m is not None else views.e_ii
+        cands = None if pool_i == "full" else np.unique(np.concatenate([pos, neg]))
+        cache.cl_item = infonce_loss(tape, anchors, views.e_i, cands, loss_cfg.temperature)
 
     cache.loss = total_loss(tape, cache.bpr, cache.cl_user, cache.cl_item, loss_cfg)
     return cache
 
 
 def compute_final_embeddings(params: dict[str, np.ndarray], ops: GraphOperators,
-                             dim: int, rank: int, n_layers: int,
-                             alpha_user: float, alpha_item: float,
-                             abl: Ablations) -> tuple[np.ndarray, np.ndarray]:
+                             cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run the forward pass without a batch and read off the fused embeddings."""
     tape = Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    cache = forward_model(tape, leaves, ops, dim, rank, n_layers,
-                          alpha_user, alpha_item, LossConfig(), abl)
+    cache = forward_model(tape, leaves, ops, cfg)
     return cache.e_u_final.value, cache.e_i_final.value
 
 
 def transform_matrix_for_node(params: dict[str, np.ndarray], ops: GraphOperators,
-                              dim: int, rank: int, n_layers: int,
-                              alpha_user: float, alpha_item: float,
-                              abl: Ablations, node: int, side: str) -> np.ndarray:
+                              cfg: RunConfig, node: int, side: str) -> np.ndarray:
     """Materialized d x d personalized transform of one node."""
+    abl, hp = cfg.ablations, cfg.hyper
     if side not in ("user", "item"):
         raise ValueError("side must be 'user' or 'item'")
     if abl.no_meta:
@@ -203,8 +188,7 @@ def transform_matrix_for_node(params: dict[str, np.ndarray], ops: GraphOperators
         raise ValueError(f"unknown {side} index {node}")
     tape = Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    cache = forward_model(tape, leaves, ops, dim, rank, n_layers,
-                          alpha_user, alpha_item, LossConfig(), abl)
+    cache = forward_model(tape, leaves, ops, cfg)
     tr = cache.transforms_user if side == "user" else cache.transforms_item
-    return materialize_transform(tr.w1.value[node].reshape(dim, rank),
-                                 tr.w2.value[node].reshape(rank, dim))
+    return materialize_transform(tr.w1.value[node].reshape(hp.dim, hp.rank),
+                                 tr.w2.value[node].reshape(hp.rank, hp.dim))

@@ -16,7 +16,7 @@ from .config import RunConfig, serialize_config
 from .dataset import BprSampler, InteractionDataset, split_leave_one_out
 from .encoder import GraphOperators, build_graph_operators
 from .graphs import HeteroGraph, LoadedData, build_hetero_graph, load_dataset
-from .model import (Ablations, compute_final_embeddings, forward_model,
+from .model import (cl_negative_pools, compute_final_embeddings, forward_model,
                     init_params, trainable_keys)
 from .optim import AdamState, adam_step
 
@@ -97,16 +97,13 @@ def sparsity_report(users: np.ndarray, ranks: np.ndarray,
 
 
 def evaluate(params: dict[str, np.ndarray], ops: GraphOperators, cfg: RunConfig,
-             dataset: InteractionDataset, k: int | None = None) -> MetricsReport:
+             dataset: InteractionDataset) -> MetricsReport:
     """Side-effect-free ranked evaluation of a parameter set."""
-    k = cfg.top_k if k is None else k
-    hp = cfg.hyper
-    e_user, e_item = compute_final_embeddings(params, ops, hp.dim, hp.rank, hp.layers,
-                                              hp.alpha_user, hp.alpha_item, cfg.ablations)
+    e_user, e_item = compute_final_embeddings(params, ops, cfg)
     users, ranks = evaluate_ranks(e_user, e_item, dataset)
-    hr, ndcg = rank_metrics(ranks, k)
-    return MetricsReport(k=k, hr=hr, ndcg=ndcg, evaluated=len(users),
-                         groups=sparsity_report(users, ranks, dataset, k))
+    hr, ndcg = rank_metrics(ranks, cfg.top_k)
+    return MetricsReport(k=cfg.top_k, hr=hr, ndcg=ndcg, evaluated=len(users),
+                         groups=sparsity_report(users, ranks, dataset, cfg.top_k))
 
 
 class RunSeeds(NamedTuple):
@@ -172,14 +169,10 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
     sampler = BprSampler(dataset, seed=seeds.sampler)
 
     n_batches = max(1, -(-len(dataset.train_edges) // hp.batch_size))
-    # The contrastive negative pool per side, decided as forward_model decides it.
-    cl_on = not abl.no_cl and cfg.loss.cl_weight > 0
-    negatives = ["off" if adj is None or not cl_on else
-                 "full" if cfg.loss.use_full_negatives(adj.shape[0]) else "batch"
-                 for adj in (ops.uu, ops.ii)]
     log.info("training: m=%d n=%d edges=%d batches/epoch=%d ablations=%s "
              "cl_negatives user=%s item=%s", bundle.data.m, bundle.data.n,
-             bundle.graph.total_edges, n_batches, ",".join(abl.names()) or "none", *negatives)
+             bundle.graph.total_edges, n_batches, ",".join(abl.names()) or "none",
+             *cl_negative_pools(ops, cfg))
 
     curve: list[dict] = []
     epoch_seconds: list[float] = []
@@ -203,9 +196,7 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             leaves = {k: tape.leaf(v, trainable=k in opt_params, name=k)
                       for k, v in params.items()}
             try:
-                cache = forward_model(tape, leaves, ops, hp.dim, hp.rank, hp.layers,
-                                      hp.alpha_user, hp.alpha_item, cfg.loss, abl,
-                                      batch=batch)
+                cache = forward_model(tape, leaves, ops, cfg, batch=batch)
                 backward(tape, cache.loss)
                 grads = {k: leaves[k].grad for k in opt_params}
                 adam_step(opt_params, grads, state, hp.learning_rate)

@@ -17,8 +17,7 @@ from hgcl.checkpoint import load_checkpoint
 from hgcl.config import Hyperparams, RunConfig, with_ablations
 from hgcl.encoder import build_graph_operators
 from hgcl.graphs import build_hetero_graph, normalize_adjacency
-from hgcl.model import (Ablations, forward_model, init_params,
-                        transform_matrix_for_node)
+from hgcl.model import forward_model, init_params, transform_matrix_for_node
 from hgcl.objectives import LossConfig, bpr_loss, infonce_loss
 from hgcl.synthetic import generate_synthetic
 from hgcl.trainer import evaluate_ranks, load_bundle, rank_metrics, train
@@ -55,11 +54,12 @@ def test_criterion_1_gradient_correctness():
     params = init_params(m, n, dim, rank, seed=1)
     rng = np.random.default_rng(3)
     batch = (rng.integers(m, size=24), rng.integers(n, size=24), rng.integers(n, size=24))
-    loss_cfg = LossConfig(cl_weight=0.3, temperature=0.2, l2_weight=1e-4)
+    cfg = RunConfig(hyper=Hyperparams(dim=dim, layers=layers, rank=rank,
+                                      alpha_user=0.8, alpha_item=0.8),
+                    loss=LossConfig(cl_weight=0.3, temperature=0.2, l2_weight=1e-4))
 
     def build(tape, tensors):
-        cache = forward_model(tape, tensors, ops, dim, rank, layers, 0.8, 0.8,
-                              loss_cfg, Ablations(), batch=batch)
+        cache = forward_model(tape, tensors, ops, cfg, batch=batch)
         return cache.loss
 
     err = grad_check(build, params, eps=1e-5, max_coords=None)
@@ -147,15 +147,12 @@ def test_criterion_4_low_rank_transforms(fixture_200x300, tmp_path):
                          alpha_user=0.8, alpha_item=0.8)
     result = train(cfg, write_outputs=False)
     bundle = load_bundle(cfg)
-    hp = cfg.hyper
     rng = np.random.default_rng(0)
     nodes = [("user", int(u)) for u in rng.choice(200, 6, replace=False)]
     nodes += [("item", int(i)) for i in rng.choice(300, 6, replace=False)]
     for side, node in nodes:
-        matrix = transform_matrix_for_node(result.checkpoint.params, bundle.ops,
-                                           hp.dim, hp.rank, hp.layers,
-                                           hp.alpha_user, hp.alpha_item,
-                                           cfg.ablations, node, side)
+        matrix = transform_matrix_for_node(result.checkpoint.params, bundle.ops, cfg,
+                                           node, side)
         s = np.linalg.svd(matrix, compute_uv=False)
         assert s[0] > 0
         assert s[3] < 1e-8 * s[0], f"{side} {node}: s4/s1 = {s[3] / s[0]:.2e}"

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hgcl.autodiff import Tape, backward, grad_check
+from hgcl.config import Hyperparams, RunConfig
 from hgcl.encoder import build_graph_operators
 from hgcl.graphs import build_hetero_graph
 from hgcl.model import (Ablations, compute_final_embeddings, forward_model,
@@ -36,12 +37,16 @@ def batch_for(m, n, size, seed=0):
             rng.integers(n, size=size))
 
 
-def run_forward(params, ops, dim=4, rank=2, layers=2, abl=Ablations(), batch=None,
-                loss_cfg=None, trainable=()):
+def model_cfg(dim=4, rank=2, abl=Ablations(), loss_cfg=None) -> RunConfig:
+    """Settings of a 2-layer model with alpha 0.8 on both sides."""
+    hyper = Hyperparams(dim=dim, layers=2, rank=rank, alpha_user=0.8, alpha_item=0.8)
+    return RunConfig(hyper=hyper, loss=loss_cfg or LossConfig(), ablations=abl)
+
+
+def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, trainable=()):
     tape = Tape()
     leaves = {k: tape.leaf(v, trainable=k in trainable, name=k) for k, v in params.items()}
-    cache = forward_model(tape, leaves, ops, dim, rank, layers, 0.8, 0.8,
-                          loss_cfg or LossConfig(), abl, batch=batch)
+    cache = forward_model(tape, leaves, ops, model_cfg(abl=abl, loss_cfg=loss_cfg), batch=batch)
     return tape, leaves, cache
 
 
@@ -159,25 +164,23 @@ def test_gradients_flow_to_every_trainable_parameter():
 
 def test_compute_final_embeddings_deterministic():
     graph, params, ops = tiny_setup()
-    a = compute_final_embeddings(params, ops, 4, 2, 2, 0.8, 0.8, Ablations())
-    b = compute_final_embeddings(params, ops, 4, 2, 2, 0.8, 0.8, Ablations())
+    a = compute_final_embeddings(params, ops, model_cfg())
+    b = compute_final_embeddings(params, ops, model_cfg())
     assert a[0].tobytes() == b[0].tobytes()
     assert a[1].tobytes() == b[1].tobytes()
 
 
 def test_transform_matrix_rank_bound_and_errors():
     graph, params, ops = tiny_setup()
-    matrix = transform_matrix_for_node(params, ops, 4, 2, 2, 0.8, 0.8,
-                                       Ablations(), 3, "user")
+    matrix = transform_matrix_for_node(params, ops, model_cfg(), 3, "user")
     s = np.linalg.svd(matrix, compute_uv=False)
     assert s[2] < 1e-8 * s[0]
     with pytest.raises(ValueError, match="unknown user"):
-        transform_matrix_for_node(params, ops, 4, 2, 2, 0.8, 0.8, Ablations(), 99, "user")
+        transform_matrix_for_node(params, ops, model_cfg(), 99, "user")
     with pytest.raises(ValueError, match="side"):
-        transform_matrix_for_node(params, ops, 4, 2, 2, 0.8, 0.8, Ablations(), 0, "tags")
+        transform_matrix_for_node(params, ops, model_cfg(), 0, "tags")
     with pytest.raises(ValueError, match="without the meta"):
-        transform_matrix_for_node(params, ops, 4, 2, 2, 0.8, 0.8,
-                                  Ablations(no_meta=True), 0, "user")
+        transform_matrix_for_node(params, ops, model_cfg(abl=Ablations(no_meta=True)), 0, "user")
 
 
 def test_float32_mode_runs_and_keeps_dtype():
@@ -197,8 +200,7 @@ def test_full_model_gradients_match_finite_differences_quick():
     cfg = LossConfig(cl_weight=0.3, temperature=0.2, l2_weight=1e-4)
 
     def build(tape, ts):
-        cache = forward_model(tape, ts, ops, 3, 2, 2, 0.8, 0.8, cfg,
-                              Ablations(), batch=batch)
+        cache = forward_model(tape, ts, ops, model_cfg(dim=3, loss_cfg=cfg), batch=batch)
         return cache.loss
 
     err = grad_check(build, params, max_coords=60, seed=0)

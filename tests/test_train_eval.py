@@ -269,10 +269,7 @@ def test_sparsity_groups_recombine_to_overall(trained_small):
     cfg, result = trained_small
     bundle = load_bundle(cfg)
     from hgcl.model import compute_final_embeddings
-    hp = cfg.hyper
-    e_u, e_i = compute_final_embeddings(result.checkpoint.params, bundle.ops,
-                                        hp.dim, hp.rank, hp.layers,
-                                        hp.alpha_user, hp.alpha_item, cfg.ablations)
+    e_u, e_i = compute_final_embeddings(result.checkpoint.params, bundle.ops, cfg)
     users, ranks = evaluate_ranks(e_u, e_i, bundle.dataset)
     groups = sparsity_report(users, ranks, bundle.dataset, cfg.top_k)
     total_eval = sum(g.evaluated for g in groups)
