@@ -226,7 +226,7 @@ class Tape:
         out = np.where(xv >= 0, xv, a * xv)
 
         def vjp(g):
-            dx = g * np.where(xv >= 0, 1.0, a)
+            dx = np.where(xv >= 0, g, g * a)
             da = np.asarray((g * np.where(xv < 0, xv, 0.0)).sum(), dtype=g.dtype)
             return (dx, da)
 
@@ -337,7 +337,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Fill ``grad`` on every trainable leaf reachable from ``loss``.
 
     Gradients accumulate additively when a tensor feeds multiple nodes;
-    non-trainable leaves are left untouched.
+    non-trainable leaves are left untouched. A ``grad`` may be the very array
+    a VJP returned, shared with other tensors (``add`` hands ``g`` to both
+    inputs), so accumulation builds a new array: no VJP, nor any caller such
+    as ``adam_step``, may write to a gradient array.
     """
     if loss.value.shape != ():
         raise DiffError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -355,10 +358,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 continue
             if not np.isfinite(g).all():
                 raise DiffError(f"non-finite gradient produced by primitive '{op}'")
-            if t.grad is None:
-                t.grad = np.array(g, dtype=g.dtype)
-            else:
-                t.grad += g
+            t.grad = g if t.grad is None else t.grad + g
 
 
 def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,

@@ -85,6 +85,11 @@ def _cmd_train(args) -> int:
 def _load_for_checkpoint(checkpoint_path: str, manifest: str | None):
     ckpt = load_checkpoint(checkpoint_path)
     cfg = config_from_text(ckpt.config_text)
+    for name in ("dim", "rank", "layers"):
+        header, snapshot = getattr(ckpt, name), getattr(cfg.hyper, name)
+        if header != snapshot:
+            raise CheckpointError(f"{checkpoint_path}: '{name}' is {header} in the header "
+                                  f"but {snapshot} in the config snapshot")
     bundle = load_bundle(cfg, manifest=manifest)
     if (bundle.data.m, bundle.data.n) != (ckpt.m, ckpt.n):
         raise RuntimeError(f"dimension mismatch: checkpoint is {ckpt.m}x{ckpt.n} "

@@ -32,7 +32,10 @@ def _parse_lines(path: str | Path, n_fields: int = 2):
                 values = tuple(int(f) for f in fields[:n_fields])
             except ValueError:
                 raise EdgeFileError(f"{path}:{lineno}: non-integer id in {fields[:n_fields]!r}")
-            yield lineno, values
+            if not all(0 <= v < 2**63 for v in values):  # ids are stored as int64
+                raise EdgeFileError(f"{path}:{lineno}: id outside [0, 2**63) in "
+                                    f"{fields[:n_fields]!r}")
+            yield values
 
 
 def load_edge_file(path: str | Path, kind: str) -> list[tuple[int, int]]:
@@ -45,9 +48,7 @@ def load_edge_file(path: str | Path, kind: str) -> list[tuple[int, int]]:
         raise ValueError(f"unknown edge kind {kind!r}; expected one of {EDGE_KINDS}")
     pairs: set[tuple[int, int]] = set()
     self_loops = 0
-    for lineno, (src, dst) in _parse_lines(path):
-        if src < 0 or dst < 0:
-            raise EdgeFileError(f"{path}:{lineno}: negative id")
+    for src, dst in _parse_lines(path):
         if kind == "interaction":
             pairs.add((src, dst))
         else:
@@ -66,7 +67,7 @@ def load_edge_file(path: str | Path, kind: str) -> list[tuple[int, int]]:
 def load_category_file(path: str | Path) -> dict[int, set[int]]:
     """Read an item -> category file into a mapping (items may repeat)."""
     cats: dict[int, set[int]] = {}
-    for _, (item, cat) in _parse_lines(path):
+    for item, cat in _parse_lines(path):
         cats.setdefault(item, set()).add(cat)
     if not cats:
         raise EdgeFileError(f"{path}: no edges")

@@ -99,6 +99,8 @@ def test_composite_graph_matches_finite_differences():
 BPR_TRIPLES = (np.array([0, 2, 2, 3, 1, 0]), np.array([1, 1, 3, 0, 2, 3]),
                np.array([2, 0, 1, 1, 3, 3]))
 AFFINE_BIAS = np.array([0.5, -1.0, 0.25, 1.5])
+GATHER_ROWS = np.array([3, 0, 3, 1, 1, 2])
+SPMM_ADJ = sp.random(5, 4, density=0.5, random_state=3, format="csr")
 
 PRIMITIVE_BUILDERS = {
     "add": lambda t, a, b: t.add(a, b),
@@ -109,7 +111,7 @@ PRIMITIVE_BUILDERS = {
     "mul": lambda t, a, b: t.mul(a, b),
     "scale": lambda t, a, b: t.scale(a, -1.7),
     # affine replaced matmul and add_bias and keeps the "matmul" case id.
-    "matmul": lambda t, a, b: t.affine(a, b, t.leaf(AFFINE_BIAS)),
+    "matmul": lambda t, a, b: t.affine(a, b, t.leaf(AFFINE_BIAS.astype(a.value.dtype))),
     "sigmoid": lambda t, a, b: t.sigmoid(a),
     "softplus": lambda t, a, b: t.bpr_rows(a, a, *BPR_TRIPLES),
     "row_l2_normalize": lambda t, a, b: t.row_l2_normalize(a),
@@ -120,6 +122,12 @@ PRIMITIVE_BUILDERS = {
     "logsumexp_rows": lambda t, a, b: t.infonce_rows(b, a, 0.5),
     "concat_columns": lambda t, a, b: t.concat_columns(a, b),
     "row_sum": lambda t, a, b: t.bpr_rows(b, a, *BPR_TRIPLES),
+    "prelu": lambda t, a, b: t.prelu(a, t.leaf(np.asarray(0.3, dtype=a.value.dtype))),
+    "gather_rows": lambda t, a, b: t.gather_rows(a, GATHER_ROWS),
+    "spmm": lambda t, a, b: t.spmm(SparseMatrix(SPMM_ADJ.astype(a.value.dtype)), a),
+    "lowrank_apply": lambda t, a, b: t.lowrank_apply(b, a, b),
+    "sum_all": lambda t, a, b: t.sum_all(a),
+    "sum_squares": lambda t, a, b: t.sum_squares(a, b),
 }
 
 
@@ -137,6 +145,23 @@ def test_primitive_finite_difference_property(name, seed):
 
     err = grad_check(build, {"a": a}, max_coords=None)
     assert err < 1e-6, f"{name}: {err}"
+
+
+def test_every_vjp_returns_the_dtype_of_its_inputs():
+    # One float64 gradient in an f32 run would carry the rest of the backward
+    # pass into float64.
+    rng = np.random.default_rng(0)
+    recorded = set()
+    for name, op in PRIMITIVE_BUILDERS.items():
+        tape = Tape()
+        a, b = (tape.leaf(rng.uniform(-2, 2, (4, 4)).astype(np.float32), trainable=True)
+                for _ in range(2))
+        op(tape, a, b)
+        for prim, out, inputs, vjp in tape._nodes:
+            recorded.add(prim)
+            grads = vjp(np.ones_like(out.value))
+            assert [g.dtype for g in grads] == [np.float32] * len(inputs), f"{name}: {prim}"
+    assert recorded == _recording_primitives()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -399,6 +424,18 @@ def test_backward_replay_is_bit_identical():
         return first
 
     assert [g.tobytes() for g in run()] == [g.tobytes() for g in run()]
+
+
+def test_accumulation_never_writes_into_a_shared_gradient():
+    # add hands one gradient array to both x and y. Backward reaches it before
+    # the scale, so x's second contribution arrives after y already holds it.
+    tape = Tape()
+    x = tape.leaf(np.array([1.0, 2.0]), trainable=True)
+    y = tape.leaf(np.array([3.0, 4.0]), trainable=True)
+    tripled = tape.scale(x, 3.0)
+    backward(tape, tape.sum_all(tape.add(tape.add(x, y), tripled)))
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
 
 def test_backward_requires_scalar_loss():

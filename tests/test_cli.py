@@ -96,6 +96,11 @@ def test_eval_dimension_mismatch_exits_two(pipeline, tmp_path, capsys):
     assert code == 2
 
 
+def _edit_snapshot(ckpt, old, new):
+    """Change one model setting of the config snapshot, not of the header."""
+    ckpt.config_text = ckpt.config_text.replace(old, new)
+
+
 # Each case edits a loaded checkpoint and names what the edit breaks.
 CHECKPOINT_EDITS = {
     "missing_parameter": ("item_mlp2_b_out", lambda c: c.params.pop("item_mlp2_b_out")),
@@ -107,6 +112,9 @@ CHECKPOINT_EDITS = {
     "short_user_id_table": ("user_ids", lambda c: setattr(c, "user_ids", c.user_ids[:3])),
     "reordered_item_id_table": ("item_ids", lambda c: setattr(
         c, "item_ids", c.item_ids[::-1].copy())),
+    "snapshot_dim": ("dim", lambda c: _edit_snapshot(c, "dim = 16", "dim = 8")),
+    "snapshot_rank": ("rank", lambda c: _edit_snapshot(c, "rank = 3", "rank = 2")),
+    "snapshot_layers": ("layers", lambda c: _edit_snapshot(c, "layers = 2", "layers = 3")),
 }
 
 

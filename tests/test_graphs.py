@@ -1,10 +1,17 @@
 """Edge-file ingestion and normalized adjacency construction."""
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgcl.cli import cli_main
 from hgcl.graphs import (EdgeFileError, build_hetero_graph, build_item_relations,
                          load_category_file, load_dataset, load_edge_file,
                          normalize_adjacency, read_manifest)
@@ -220,3 +227,43 @@ def test_category_file_loader(tmp_path):
     path = write(tmp_path, "c.tsv", "0\t1\n0\t2\n3\t1\n")
     cats = load_category_file(path)
     assert cats == {0: {1, 2}, 3: {1}}
+
+
+# Edge-file lines built from integer ids over the whole Python int range
+# (with the int64 edges named), non-integers, blank lines and comments.
+FUZZ_ID = st.one_of(st.integers(), st.sampled_from([2**63 - 1, 2**63, -2**63 - 1]))
+FUZZ_FIELD = st.one_of(FUZZ_ID.map(str), st.text(alphabet="09-+_ .ae", max_size=5))
+FUZZ_LINE = st.one_of(st.lists(FUZZ_FIELD, max_size=4).map("\t".join),
+                      st.sampled_from(["", "   ", "# comment", "0\t1\t# trailing"]))
+FUZZ_FILE = st.lists(FUZZ_LINE, max_size=6).map(lambda lines: "".join(f"{x}\n" for x in lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(["interactions.tsv", "social.tsv", "item_categories.tsv"]),
+       text=FUZZ_FILE)
+def test_fuzzed_edge_files_fail_only_with_value_errors(target, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        manifest = make_dataset_dir(root, [(0, 0), (1, 1)], [(0, 1)], [(0, 0), (1, 0)], 4, 4)
+        (root / target).write_text(text, encoding="utf-8")
+        try:
+            load_dataset(manifest)
+        except ValueError:  # EdgeFileError is one
+            config = write(root, "run.cfg", "[data]\nmanifest = manifest.txt\n")
+            assert cli_main(["train", "--config", str(config)]) == 2
+
+
+def test_id_past_int64_names_the_line_and_exits_two_without_traceback(tmp_path):
+    make_dataset_dir(tmp_path, [(0, 0), (2**63, 1)], [(0, 1)], [(0, 0), (1, 0)], 4, 4)
+    with pytest.raises(EdgeFileError, match=r"interactions\.tsv:2"):
+        load_dataset(tmp_path / "manifest.txt")
+    config = write(tmp_path, "run.cfg", "[data]\nmanifest = manifest.txt\n")
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):  # the command runs in tmp_path
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(entry) if entry else entry
+            for entry in env["PYTHONPATH"].split(os.pathsep))
+    proc = subprocess.run([sys.executable, "-m", "hgcl.cli", "train", "--config", str(config)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "interactions.tsv:2" in proc.stderr and "Traceback" not in proc.stderr

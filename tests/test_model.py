@@ -193,6 +193,16 @@ def test_float32_mode_runs_and_keeps_dtype():
     assert leaves["user_emb"].grad.dtype == np.float32
 
 
+def test_float32_training_step_keeps_every_gradient_float32():
+    graph, params, ops = tiny_setup(dtype=np.float32)
+    keys = trainable_keys(params, Ablations())
+    tape, _, cache = run_forward(params, ops, batch=batch_for(6, 8, 16), trainable=keys)
+    backward(tape, cache.loss)
+    wrong = sorted({f"{t!r} {t.grad.dtype}" for t in tape._tensors
+                    if t.grad is not None and t.grad.dtype != np.float32})
+    assert not wrong
+
+
 def test_full_model_gradients_match_finite_differences_quick():
     # Small spot check; the acceptance suite runs the exhaustive version.
     graph, params, ops = tiny_setup(m=5, n=7, dim=3, rank=2, seed=2)
