@@ -144,21 +144,20 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
         return cache
 
     users, pos, neg = batch
-    loss_cfg = cfg.loss
     reg = [leaves[k] for k in regularized_keys(leaves, abl)]
-    cache.bpr = bpr_loss(tape, e_u_final, e_i_final, batch, reg, loss_cfg.l2_weight)
+    cache.bpr = bpr_loss(tape, e_u_final, e_i_final, batch, reg, cfg.loss.l2_weight)
 
     pool_u, pool_i = cl_negative_pools(ops, cfg)
     if pool_u != "off":
         anchors = tape.add(e_uu_m, views.e_uu) if e_uu_m is not None else views.e_uu
         cands = None if pool_u == "full" else np.unique(users)
-        cache.cl_user = infonce_loss(tape, anchors, views.e_u, cands, loss_cfg.temperature)
+        cache.cl_user = infonce_loss(tape, anchors, views.e_u, cands, cfg.loss.temperature)
     if pool_i != "off":
         anchors = tape.add(e_ii_m, views.e_ii) if e_ii_m is not None else views.e_ii
         cands = None if pool_i == "full" else np.unique(np.concatenate([pos, neg]))
-        cache.cl_item = infonce_loss(tape, anchors, views.e_i, cands, loss_cfg.temperature)
+        cache.cl_item = infonce_loss(tape, anchors, views.e_i, cands, cfg.loss.temperature)
 
-    cache.loss = total_loss(tape, cache.bpr, cache.cl_user, cache.cl_item, loss_cfg)
+    cache.loss = total_loss(tape, cache.bpr, cache.cl_user, cache.cl_item, cfg.loss)
     return cache
 
 
