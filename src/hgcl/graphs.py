@@ -17,7 +17,8 @@ class EdgeFileError(ValueError):
     """Malformed or empty edge file."""
 
 
-def _parse_lines(path: str | Path, n_fields: int = 2):
+def _parse_lines(path: str | Path):
+    """Yield the two leading ids of each line; blank and ``#`` lines are skipped."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -25,17 +26,16 @@ def _parse_lines(path: str | Path, n_fields: int = 2):
             if not stripped or stripped.startswith("#"):
                 continue
             fields = stripped.split("\t")
-            if len(fields) < n_fields:
-                raise EdgeFileError(f"{path}:{lineno}: expected at least {n_fields} "
+            if len(fields) < 2:
+                raise EdgeFileError(f"{path}:{lineno}: expected at least 2 "
                                     f"tab-separated fields, got {len(fields)}")
             try:
-                values = tuple(int(f) for f in fields[:n_fields])
+                a, b = int(fields[0]), int(fields[1])
             except ValueError:
-                raise EdgeFileError(f"{path}:{lineno}: non-integer id in {fields[:n_fields]!r}")
-            if not all(0 <= v < 2**63 for v in values):  # ids are stored as int64
-                raise EdgeFileError(f"{path}:{lineno}: id outside [0, 2**63) in "
-                                    f"{fields[:n_fields]!r}")
-            yield values
+                raise EdgeFileError(f"{path}:{lineno}: non-integer id in {fields[:2]!r}")
+            if not (0 <= a < 2**63 and 0 <= b < 2**63):  # ids are stored as int64
+                raise EdgeFileError(f"{path}:{lineno}: id outside [0, 2**63) in {fields[:2]!r}")
+            yield a, b
 
 
 def load_edge_file(path: str | Path, kind: str) -> list[tuple[int, int]]:
