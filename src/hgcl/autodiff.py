@@ -70,12 +70,10 @@ class SparseMatrix:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows, and each branch is the exact one for its sign.
+    # min(x, -x) rather than -|x| keeps a NaN's sign bit as the masked form did.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:

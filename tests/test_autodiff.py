@@ -35,6 +35,29 @@ def test_sigmoid_grad_at_zero_is_quarter():
     np.testing.assert_allclose(x.grad, 0.25, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_sigmoid_matches_the_masked_form_bit_for_bit(dtype):
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 1e-30, -1e-30, np.inf, -np.inf, np.nan, -np.nan, 88.0, -88.0, 800.0, -800.0]
+    for x in (np.array(special), rng.normal(scale=10.0, size=(64, 32)),
+              rng.normal(size=(5, 3, 2)), np.array(-3.5), np.zeros((0, 4))):
+        x = np.asarray(x, dtype=dtype)
+        with np.errstate(over="ignore"):
+            want = masked(x)
+        got = autodiff._stable_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_grad_accumulates_across_uses():
     tape = Tape()
     x = tape.leaf(np.array([1.0, -2.0, 3.0]), trainable=True)
