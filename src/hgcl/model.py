@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import SparseMatrix, Tape, Tensor
 from .config import Ablations, RunConfig
 from .encoder import GateParams, GraphOperators, ViewEmbeddings, encode
 from .meta import (MetaMLP, PersonalTransforms, apply_transform,
@@ -78,6 +78,11 @@ def regularized_keys(params: dict[str, np.ndarray], abl: Ablations) -> list[str]
 
 @dataclass
 class ForwardCache:
+    """A forward pass's tensors. With a batch, a side whose contrastive pool is
+    not ``full`` has ``e_*_final`` and ``transforms_*`` only at the rows its loss
+    terms read (the batch's users, or its positive and negative items), in
+    sorted node order; otherwise they hold every node."""
+
     views: ViewEmbeddings
     transforms_user: PersonalTransforms | None
     transforms_item: PersonalTransforms | None
@@ -109,53 +114,73 @@ def cl_negative_pools(ops: GraphOperators, cfg: RunConfig) -> tuple[str, str]:
                  for adj in (ops.uu, ops.ii))
 
 
+def _at_rows(tape: Tape, rows: np.ndarray | None, e_view: Tensor, e_aux: Tensor | None,
+             incidence: SparseMatrix) -> tuple[Tensor, Tensor | None, SparseMatrix]:
+    """A side's view and auxiliary embeddings and incidence rows at ``rows``
+    (everything when None)."""
+    if rows is None:
+        return e_view, e_aux, incidence
+    return (tape.gather_rows(e_view, rows),
+            None if e_aux is None else tape.gather_rows(e_aux, rows),
+            SparseMatrix(incidence.mat[rows]))
+
+
 def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cfg: RunConfig,
                   batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardCache:
-    """Encode, transfer, fuse, and (when a batch is given) assemble the loss."""
+    """Encode, transfer, fuse, and (when a batch is given) assemble the loss.
+
+    Transfer and fusion are row-local, so with a batch a side whose contrastive
+    pool is not ``full`` runs them only on the rows its loss terms read; the
+    other rows would get a zero gradient.
+    """
     hp, abl = cfg.hyper, cfg.ablations
     views = encode(tape, leaves["user_emb"], leaves["item_emb"],
                    _gate(leaves, "user") if ops.uu is not None else None,
                    _gate(leaves, "item") if ops.ii is not None else None,
                    ops, hp.layers)
 
+    rows_u = rows_i = None
+    if batch is not None:
+        users, pos, neg = batch
+        pool_u, pool_i = cl_negative_pools(ops, cfg)
+        if pool_u != "full":
+            rows_u = np.unique(users)
+        if pool_i != "full":
+            rows_i = np.unique(np.concatenate([pos, neg]))
+    e_u, e_uu, inc_u = _at_rows(tape, rows_u, views.e_u, views.e_uu, ops.inc_ui)
+    e_i, e_ii, inc_i = _at_rows(tape, rows_i, views.e_i, views.e_ii, ops.inc_ui.T)
+
     tr_u = tr_i = None
     e_uu_m = e_ii_m = None
-    if ops.uu is not None and not abl.no_meta:
-        m_uu = extract_meta_knowledge(tape, views.e_u, views.e_uu, ops.inc_ui, views.e_i)
+    if e_uu is not None and not abl.no_meta:
+        m_uu = extract_meta_knowledge(tape, e_u, e_uu, inc_u, views.e_i)
         tr_u = generate_transforms(tape, m_uu, _mlp(leaves, "user_mlp1"), _mlp(leaves, "user_mlp2"))
-        e_uu_m = apply_transform(tape, tr_u, views.e_uu, leaves["user_transfer_slope"])
-    if ops.ii is not None and not abl.no_meta:
-        m_ii = extract_meta_knowledge(tape, views.e_i, views.e_ii, ops.inc_ui.T, views.e_u)
+        e_uu_m = apply_transform(tape, tr_u, e_uu, leaves["user_transfer_slope"])
+    if e_ii is not None and not abl.no_meta:
+        m_ii = extract_meta_knowledge(tape, e_i, e_ii, inc_i, views.e_u)
         tr_i = generate_transforms(tape, m_ii, _mlp(leaves, "item_mlp1"), _mlp(leaves, "item_mlp2"))
-        e_ii_m = apply_transform(tape, tr_i, views.e_ii, leaves["item_transfer_slope"])
+        e_ii_m = apply_transform(tape, tr_i, e_ii, leaves["item_transfer_slope"])
 
-    if ops.uu is not None:
-        e_u_final = fuse_final(tape, views.e_u, views.e_uu, e_uu_m, hp.alpha_user)
-    else:
-        e_u_final = views.e_u
-    if ops.ii is not None:
-        e_i_final = fuse_final(tape, views.e_i, views.e_ii, e_ii_m, hp.alpha_item)
-    else:
-        e_i_final = views.e_i
+    e_u_final = e_u if e_uu is None else fuse_final(tape, e_u, e_uu, e_uu_m, hp.alpha_user)
+    e_i_final = e_i if e_ii is None else fuse_final(tape, e_i, e_ii, e_ii_m, hp.alpha_item)
 
     cache = ForwardCache(views=views, transforms_user=tr_u, transforms_item=tr_i,
                          e_u_final=e_u_final, e_i_final=e_i_final)
     if batch is None:
         return cache
 
-    users, pos, neg = batch
+    local = tuple(idx if rows is None else np.searchsorted(rows, idx)
+                  for rows, idx in ((rows_u, users), (rows_i, pos), (rows_i, neg)))
     reg = [leaves[k] for k in regularized_keys(leaves, abl)]
-    cache.bpr = bpr_loss(tape, e_u_final, e_i_final, batch, reg, cfg.loss.l2_weight)
+    cache.bpr = bpr_loss(tape, e_u_final, e_i_final, local, reg, cfg.loss.l2_weight)
 
-    pool_u, pool_i = cl_negative_pools(ops, cfg)
+    # A side's rows are already its contrastive pool unless that pool is full.
     if pool_u != "off":
-        anchors = tape.add(e_uu_m, views.e_uu) if e_uu_m is not None else views.e_uu
-        cands = None if pool_u == "full" else np.unique(users)
-        cache.cl_user = infonce_loss(tape, anchors, views.e_u, cands, cfg.loss.temperature)
+        anchors = tape.add(e_uu_m, e_uu) if e_uu_m is not None else e_uu
+        cache.cl_user = infonce_loss(tape, anchors, e_u, None, cfg.loss.temperature)
     if pool_i != "off":
-        anchors = tape.add(e_ii_m, views.e_ii) if e_ii_m is not None else views.e_ii
-        cands = None if pool_i == "full" else np.unique(np.concatenate([pos, neg]))
-        cache.cl_item = infonce_loss(tape, anchors, views.e_i, cands, cfg.loss.temperature)
+        anchors = tape.add(e_ii_m, e_ii) if e_ii_m is not None else e_ii
+        cache.cl_item = infonce_loss(tape, anchors, e_i, None, cfg.loss.temperature)
 
     cache.loss = total_loss(tape, cache.bpr, cache.cl_user, cache.cl_item, cfg.loss)
     return cache

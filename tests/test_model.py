@@ -2,14 +2,17 @@
 import numpy as np
 import pytest
 
+from hgcl import objectives
 from hgcl.autodiff import Tape, backward, grad_check
 from hgcl.config import Hyperparams, RunConfig
-from hgcl.encoder import build_graph_operators
+from hgcl.encoder import GateParams, build_graph_operators, encode
 from hgcl.graphs import build_hetero_graph
-from hgcl.model import (Ablations, compute_final_embeddings, forward_model,
-                        init_params, param_order, regularized_keys,
+from hgcl.meta import (MetaMLP, apply_transform, extract_meta_knowledge, fuse_final,
+                       generate_transforms)
+from hgcl.model import (Ablations, cl_negative_pools, compute_final_embeddings,
+                        forward_model, init_params, param_order, regularized_keys,
                         trainable_keys, transform_matrix_for_node)
-from hgcl.objectives import LossConfig
+from hgcl.objectives import LossConfig, bpr_loss, infonce_loss, total_loss
 
 
 def tiny_setup(m=6, n=8, dim=4, rank=2, seed=0, dtype=np.float64):
@@ -125,7 +128,7 @@ def test_no_uu_drops_user_auxiliary_entirely():
     _, _, cache = run_forward(params, ops, abl=Ablations(no_uu=True), batch=batch)
     assert cache.views.e_uu is None
     assert cache.cl_user is None and cache.cl_item is not None
-    np.testing.assert_array_equal(cache.e_u_final.value, cache.views.e_u.value)
+    np.testing.assert_array_equal(cache.e_u_final.value, cache.views.e_u.value[np.unique(batch[0])])
 
 
 def test_no_cl_loss_equals_bpr():
@@ -203,15 +206,95 @@ def test_float32_training_step_keeps_every_gradient_float32():
     assert not wrong
 
 
-def test_full_model_gradients_match_finite_differences_quick():
+# A batch touching 3 of the 6 users and 5 of the 8 items of tiny_setup().
+SUBSET_BATCH = (np.array([0, 1, 3, 0, 1]), np.array([1, 2, 5, 2, 1]), np.array([0, 4, 2, 0, 4]))
+
+
+def test_full_model_gradients_match_finite_differences_quick(monkeypatch):
     # Small spot check; the acceptance suite runs the exhaustive version.
     graph, params, ops = tiny_setup(m=5, n=7, dim=3, rank=2, seed=2)
-    batch = batch_for(5, 7, 12, seed=2)
-    cfg = LossConfig(cl_weight=0.3, temperature=0.2, l2_weight=1e-4)
+    random_batch = batch_for(5, 7, 12, seed=2)
+    subset_batch = tuple(idx % limit for idx, limit in zip(SUBSET_BATCH, (5, 7, 7)))
+    cases = [  # (cl_negatives, FULL_NEGATIVES_LIMIT, batch, expected pools)
+        ("auto", objectives.FULL_NEGATIVES_LIMIT, random_batch, ("full", "full")),
+        ("batch", objectives.FULL_NEGATIVES_LIMIT, random_batch, ("batch", "batch")),
+        ("auto", 6, random_batch, ("full", "batch")),  # 5 users <= 6 < 7 items
+        ("batch", objectives.FULL_NEGATIVES_LIMIT, subset_batch, ("batch", "batch")),
+    ]
+    for negatives, limit, batch, pools in cases:
+        monkeypatch.setattr(objectives, "FULL_NEGATIVES_LIMIT", limit)
+        cfg = model_cfg(dim=3, loss_cfg=LossConfig(cl_weight=0.3, temperature=0.2,
+                                                   l2_weight=1e-4, cl_negatives=negatives))
+        assert cl_negative_pools(ops, cfg) == pools
 
-    def build(tape, ts):
-        cache = forward_model(tape, ts, ops, model_cfg(dim=3, loss_cfg=cfg), batch=batch)
-        return cache.loss
+        def build(tape, ts):
+            return forward_model(tape, ts, ops, cfg, batch=batch).loss
 
-    err = grad_check(build, params, max_coords=60, seed=0)
-    assert err < 1e-4
+        err = grad_check(build, params, max_coords=60, seed=0)
+        assert err < 1e-4, (negatives, limit, pools)
+
+
+def reference_loss(tape, leaves, ops, cfg, batch):
+    """The training loss with the meta path and fusion on every row and the
+    batch at its global indices, built from the public blocks."""
+    hp = cfg.hyper
+
+    def mlp(prefix):
+        return MetaMLP(*(leaves[f"{prefix}_{k}"] for k in ("w_in", "b_in", "slope", "w_out", "b_out")))
+
+    views = encode(tape, leaves["user_emb"], leaves["item_emb"],
+                   GateParams(leaves["user_gate_w"], leaves["user_gate_b"]),
+                   GateParams(leaves["item_gate_w"], leaves["item_gate_b"]), ops, hp.layers)
+    users, pos, neg = batch
+    finals, contrastive = [], []
+    for side, e_view, e_aux, incidence, e_other, alpha, cands in (
+            ("user", views.e_u, views.e_uu, ops.inc_ui, views.e_i, hp.alpha_user,
+             np.unique(users)),
+            ("item", views.e_i, views.e_ii, ops.inc_ui.T, views.e_u, hp.alpha_item,
+             np.unique(np.concatenate([pos, neg])))):
+        meta = extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other)
+        tr = generate_transforms(tape, meta, mlp(f"{side}_mlp1"), mlp(f"{side}_mlp2"))
+        e_aux_m = apply_transform(tape, tr, e_aux, leaves[f"{side}_transfer_slope"])
+        finals.append(fuse_final(tape, e_view, e_aux, e_aux_m, alpha))
+        contrastive.append((tape.add(e_aux_m, e_aux), e_view, cands))
+    reg = [leaves[k] for k in regularized_keys(leaves, cfg.ablations)]
+    bpr = bpr_loss(tape, finals[0], finals[1], batch, reg, cfg.loss.l2_weight)
+    cl_user, cl_item = (infonce_loss(tape, a, t, c, cfg.loss.temperature)
+                        for a, t, c in contrastive)
+    return total_loss(tape, bpr, cl_user, cl_item, cfg.loss)
+
+
+def test_batch_rows_only_training_matches_the_all_rows_reference():
+    graph, params, ops = tiny_setup()
+    cfg = model_cfg(loss_cfg=LossConfig(cl_negatives="batch"))
+    keys = trainable_keys(params, cfg.ablations)
+    tape, leaves, cache = run_forward(params, ops, batch=SUBSET_BATCH,
+                                      loss_cfg=cfg.loss, trainable=keys)
+    backward(tape, cache.loss)
+    ref_tape = Tape()
+    ref_leaves = {k: ref_tape.leaf(v, trainable=k in keys, name=k) for k, v in params.items()}
+    ref = reference_loss(ref_tape, ref_leaves, ops, cfg, SUBSET_BATCH)
+    backward(ref_tape, ref)
+    np.testing.assert_allclose(cache.loss.value, ref.value, rtol=1e-12, atol=0)
+    for k in keys:
+        want = ref_leaves[k].grad
+        np.testing.assert_allclose(leaves[k].grad, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=k)
+
+
+def test_batch_rows_only_training_runs_the_transfer_on_the_batch_rows():
+    graph, params, ops = tiny_setup()
+    users, pos, neg = SUBSET_BATCH
+    rows = {"user": len(np.unique(users)), "item": len(np.unique(np.concatenate([pos, neg])))}
+    assert rows == {"user": 3, "item": 5}  # fewer than the 6 users and 8 items
+    tape, _, cache = run_forward(params, ops, batch=SUBSET_BATCH,
+                                 loss_cfg=LossConfig(cl_negatives="batch"))
+    heights = {}
+    for op, out, _, _ in tape._nodes:
+        if op in ("prelu", "lowrank_apply", "concat_columns"):
+            heights.setdefault(op, []).append(out.value.shape[0])
+    assert {op: len(h) for op, h in heights.items()} == {
+        "prelu": 6, "lowrank_apply": 2, "concat_columns": 2}
+    assert all(h in rows.values() for hs in heights.values() for h in hs), heights
+    assert cache.e_u_final.value.shape[0] == rows["user"]
+    assert cache.e_i_final.value.shape[0] == rows["item"]
