@@ -206,7 +206,8 @@ def test_float32_training_step_keeps_every_gradient_float32():
     assert not wrong
 
 
-# A batch touching 3 of the 6 users and 5 of the 8 items of tiny_setup().
+# Users {0, 1, 3} and items {0, 1, 2, 4, 5}: a strict subset of each side at
+# tiny_setup()'s 6 x 8 and at 5 x 7.
 SUBSET_BATCH = (np.array([0, 1, 3, 0, 1]), np.array([1, 2, 5, 2, 1]), np.array([0, 4, 2, 0, 4]))
 
 
@@ -214,12 +215,11 @@ def test_full_model_gradients_match_finite_differences_quick(monkeypatch):
     # Small spot check; the acceptance suite runs the exhaustive version.
     graph, params, ops = tiny_setup(m=5, n=7, dim=3, rank=2, seed=2)
     random_batch = batch_for(5, 7, 12, seed=2)
-    subset_batch = tuple(idx % limit for idx, limit in zip(SUBSET_BATCH, (5, 7, 7)))
     cases = [  # (cl_negatives, FULL_NEGATIVES_LIMIT, batch, expected pools)
         ("auto", objectives.FULL_NEGATIVES_LIMIT, random_batch, ("full", "full")),
         ("batch", objectives.FULL_NEGATIVES_LIMIT, random_batch, ("batch", "batch")),
         ("auto", 6, random_batch, ("full", "batch")),  # 5 users <= 6 < 7 items
-        ("batch", objectives.FULL_NEGATIVES_LIMIT, subset_batch, ("batch", "batch")),
+        ("batch", objectives.FULL_NEGATIVES_LIMIT, SUBSET_BATCH, ("batch", "batch")),
     ]
     for negatives, limit, batch, pools in cases:
         monkeypatch.setattr(objectives, "FULL_NEGATIVES_LIMIT", limit)
