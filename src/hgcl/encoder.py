@@ -34,12 +34,6 @@ def self_gate(tape: Tape, e0: Tensor, gate: GateParams) -> Tensor:
     return tape.mul(e0, tape.sigmoid(tape.affine(e0, gate.weight, gate.bias)))
 
 
-def propagate_layer(tape: Tape, adj: SparseMatrix, e_src: Tensor) -> Tensor:
-    """One hop of degree-normalized neighbor aggregation (weights are baked
-    into the adjacency at build time; zero-degree rows come out zero)."""
-    return tape.spmm(adj, e_src)
-
-
 def fuse_views(tape: Tape, e_main: Tensor, e_aux: Tensor) -> Tensor:
     """Elementwise mean pooling of the interaction and auxiliary streams."""
     return tape.scale(tape.add(e_main, e_aux), 0.5)
@@ -79,10 +73,13 @@ def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, user_gate: GateParams | None,
     """Run the full multi-layer encoding of all active streams.
 
     Per layer: the interaction view propagates users from items and items from
-    users; each auxiliary view propagates within its own graph; mean-pooling
-    fusion of the auxiliary output then forms the interaction-view input of
-    the next layer (the auxiliary streams stay untouched by fusion). Ablated
-    sides skip both the auxiliary stream and the fusion step.
+    users; each auxiliary view propagates within its own graph (one ``spmm``
+    per hop with the degree-normalized adjacency, so zero-degree rows come out
+    zero). Mean-pooling fusion of the auxiliary output forms the
+    interaction-view input of the next layer only, so the last layer has none;
+    the aggregation consumes the raw per-view outputs and the auxiliary streams
+    stay untouched by fusion. Ablated sides skip both the auxiliary stream and
+    the fusion step.
     """
     if n_layers < 1:
         raise ValueError("need at least one propagation layer")
@@ -94,25 +91,20 @@ def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, user_gate: GateParams | None,
     layers_ii: list[Tensor] = []
     x_u, x_i = e_u0, e_i0
     x_uu, x_ii = e_uu0, e_ii0
-    for _ in range(n_layers):
-        p_u = propagate_layer(tape, ops.ui, x_i)
-        p_i = propagate_layer(tape, ops.ui.T, x_u)
-        layers_u.append(p_u)
-        layers_i.append(p_i)
-        # Fusion only feeds the next layer's interaction-view input; the
-        # aggregation below consumes the raw per-view propagation outputs.
+    for layer in range(1, n_layers + 1):
+        x_u, x_i = tape.spmm(ops.ui, x_i), tape.spmm(ops.ui.T, x_u)
+        layers_u.append(x_u)
+        layers_i.append(x_i)
         if ops.uu is not None:
-            x_uu = propagate_layer(tape, ops.uu, x_uu)
+            x_uu = tape.spmm(ops.uu, x_uu)
             layers_uu.append(x_uu)
-            x_u = fuse_views(tape, p_u, x_uu)
-        else:
-            x_u = p_u
+            if layer < n_layers:
+                x_u = fuse_views(tape, x_u, x_uu)
         if ops.ii is not None:
-            x_ii = propagate_layer(tape, ops.ii, x_ii)
+            x_ii = tape.spmm(ops.ii, x_ii)
             layers_ii.append(x_ii)
-            x_i = fuse_views(tape, p_i, x_ii)
-        else:
-            x_i = p_i
+            if layer < n_layers:
+                x_i = fuse_views(tape, x_i, x_ii)
     return ViewEmbeddings(
         e_u=aggregate_layers(tape, e_u0, layers_u),
         e_i=aggregate_layers(tape, e_i0, layers_i),

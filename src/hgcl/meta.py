@@ -67,11 +67,6 @@ def fuse_final(tape: Tape, e_view: Tensor, e_aux: Tensor, e_aux_m: Tensor | None
     return tape.add(tape.scale(e_view, alpha), tape.scale(side, 1.0 - alpha))
 
 
-def materialize_transform(w1_rows: np.ndarray, w2_rows: np.ndarray) -> np.ndarray:
-    """Dense d x d product of one node's factor pair (for export/inspection)."""
-    return np.asarray(w1_rows) @ np.asarray(w2_rows)
-
-
 def write_transform_csv(matrix: np.ndarray, path: str | Path) -> None:
     """CSV with header row,col,value; 17 significant digits round-trips f64."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:

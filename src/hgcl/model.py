@@ -7,13 +7,17 @@ import numpy as np
 
 from .autodiff import SparseMatrix, Tape, Tensor
 from .config import Ablations, RunConfig
-from .encoder import GateParams, GraphOperators, ViewEmbeddings, encode
+from .encoder import GateParams, GraphOperators, encode
 from .meta import (MetaMLP, PersonalTransforms, apply_transform,
-                   extract_meta_knowledge, fuse_final, generate_transforms,
-                   materialize_transform)
+                   extract_meta_knowledge, fuse_final, generate_transforms)
 from .objectives import bpr_loss, infonce_loss, total_loss
 
 PRELU_INIT = 0.25
+
+# The two sides in their fixed order: the parameter-key prefix and the side's
+# auxiliary graph, which names its ``GraphOperators`` field and, as
+# ``no_<graph>``, its ``Ablations`` flag.
+SIDES = (("user", "uu"), ("item", "ii"))
 
 
 def _xavier(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -34,13 +38,14 @@ def param_order(dim: int, rank: int, m: int, n: int) -> list[tuple[str, tuple[in
         ("user_gate_w", (dim, dim)), ("user_gate_b", (dim,)),
         ("item_gate_w", (dim, dim)), ("item_gate_b", (dim,)),
     ]
-    for side, rows in (("user", dim * rank), ("item", dim * rank)):
+    rows = dim * rank  # one flat (d, k) or (k, d) factor per node
+    for side, _ in SIDES:
         for idx in (1, 2):
             prefix = f"{side}_mlp{idx}"
             order += [(f"{prefix}_w_in", (3 * dim, h)), (f"{prefix}_b_in", (h,)),
                       (f"{prefix}_slope", ()),
                       (f"{prefix}_w_out", (h, rows)), (f"{prefix}_b_out", (rows,))]
-    order += [("user_transfer_slope", ()), ("item_transfer_slope", ())]
+    order += [(f"{side}_transfer_slope", ()) for side, _ in SIDES]
     return order
 
 
@@ -59,14 +64,13 @@ def init_params(m: int, n: int, dim: int, rank: int, seed, dtype=np.float64) -> 
 
 def trainable_keys(params: dict[str, np.ndarray], abl: Ablations) -> list[str]:
     dropped: set[str] = set()
-    if abl.no_meta or abl.no_uu:
-        dropped.update(_mlp_keys("user_mlp1") + _mlp_keys("user_mlp2") + ["user_transfer_slope"])
-    if abl.no_meta or abl.no_ii:
-        dropped.update(_mlp_keys("item_mlp1") + _mlp_keys("item_mlp2") + ["item_transfer_slope"])
-    if abl.no_uu:
-        dropped.update(["user_gate_w", "user_gate_b"])
-    if abl.no_ii:
-        dropped.update(["item_gate_w", "item_gate_b"])
+    for side, aux in SIDES:
+        no_aux = getattr(abl, f"no_{aux}")
+        if abl.no_meta or no_aux:
+            dropped.update(_mlp_keys(f"{side}_mlp1") + _mlp_keys(f"{side}_mlp2")
+                           + [f"{side}_transfer_slope"])
+        if no_aux:
+            dropped.update([f"{side}_gate_w", f"{side}_gate_b"])
     return [k for k in params if k not in dropped]
 
 
@@ -78,14 +82,14 @@ def regularized_keys(params: dict[str, np.ndarray], abl: Ablations) -> list[str]
 
 @dataclass
 class ForwardCache:
-    """A forward pass's tensors. With a batch, a side whose contrastive pool is
-    not ``full`` has ``e_*_final`` and ``transforms_*`` only at the rows its loss
-    terms read (the batch's users, or its positive and negative items), in
-    sorted node order; otherwise they hold every node."""
+    """A forward pass's tensors. ``transforms`` holds each side's personalized
+    transforms in ``SIDES`` order (user, item), None where the side has no
+    transfer. With a batch, a side whose contrastive pool is not ``full`` has
+    ``e_*_final`` and its transforms only at the rows its loss terms read (the
+    batch's users, or its positive and negative items), in sorted node order;
+    otherwise they hold every node."""
 
-    views: ViewEmbeddings
-    transforms_user: PersonalTransforms | None
-    transforms_item: PersonalTransforms | None
+    transforms: tuple[PersonalTransforms | None, PersonalTransforms | None]
     e_u_final: Tensor
     e_i_final: Tensor
     bpr: Tensor | None = None
@@ -114,17 +118,6 @@ def cl_negative_pools(ops: GraphOperators, cfg: RunConfig) -> tuple[str, str]:
                  for adj in (ops.uu, ops.ii))
 
 
-def _at_rows(tape: Tape, rows: np.ndarray | None, e_view: Tensor, e_aux: Tensor | None,
-             incidence: SparseMatrix) -> tuple[Tensor, Tensor | None, SparseMatrix]:
-    """A side's view and auxiliary embeddings and incidence rows at ``rows``
-    (everything when None)."""
-    if rows is None:
-        return e_view, e_aux, incidence
-    return (tape.gather_rows(e_view, rows),
-            None if e_aux is None else tape.gather_rows(e_aux, rows),
-            SparseMatrix(incidence.mat[rows]))
-
-
 def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cfg: RunConfig,
                   batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardCache:
     """Encode, transfer, fuse, and (when a batch is given) assemble the loss.
@@ -135,52 +128,55 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
     """
     hp, abl = cfg.hyper, cfg.ablations
     views = encode(tape, leaves["user_emb"], leaves["item_emb"],
-                   _gate(leaves, "user") if ops.uu is not None else None,
-                   _gate(leaves, "item") if ops.ii is not None else None,
-                   ops, hp.layers)
-
-    rows_u = rows_i = None
+                   *(None if getattr(ops, aux) is None else _gate(leaves, side)
+                     for side, aux in SIDES), ops, hp.layers)
+    pools = cl_negative_pools(ops, cfg)
+    rows = (None, None)
     if batch is not None:
         users, pos, neg = batch
-        pool_u, pool_i = cl_negative_pools(ops, cfg)
-        if pool_u != "full":
-            rows_u = np.unique(users)
-        if pool_i != "full":
-            rows_i = np.unique(np.concatenate([pos, neg]))
-    e_u, e_uu, inc_u = _at_rows(tape, rows_u, views.e_u, views.e_uu, ops.inc_ui)
-    e_i, e_ii, inc_i = _at_rows(tape, rows_i, views.e_i, views.e_ii, ops.inc_ui.T)
+        rows = tuple(None if pool == "full" else np.unique(idx)
+                     for pool, idx in zip(pools, (users, np.concatenate([pos, neg]))))
 
-    tr_u = tr_i = None
-    e_uu_m = e_ii_m = None
-    if e_uu is not None and not abl.no_meta:
-        m_uu = extract_meta_knowledge(tape, e_u, e_uu, inc_u, views.e_i)
-        tr_u = generate_transforms(tape, m_uu, _mlp(leaves, "user_mlp1"), _mlp(leaves, "user_mlp2"))
-        e_uu_m = apply_transform(tape, tr_u, e_uu, leaves["user_transfer_slope"])
-    if e_ii is not None and not abl.no_meta:
-        m_ii = extract_meta_knowledge(tape, e_i, e_ii, inc_i, views.e_u)
-        tr_i = generate_transforms(tape, m_ii, _mlp(leaves, "item_mlp1"), _mlp(leaves, "item_mlp2"))
-        e_ii_m = apply_transform(tape, tr_i, e_ii, leaves["item_transfer_slope"])
+    # Per side: the view, auxiliary and transferred auxiliary embeddings at its
+    # rows (every node when None), and its transforms.
+    streams, transforms = [], []
+    for (side, _), side_rows, (e_view, e_aux, incidence, e_other) in zip(SIDES, rows, (
+            (views.e_u, views.e_uu, ops.inc_ui, views.e_i),
+            (views.e_i, views.e_ii, ops.inc_ui.T, views.e_u))):
+        if side_rows is not None:
+            e_view = tape.gather_rows(e_view, side_rows)
+            e_aux = None if e_aux is None else tape.gather_rows(e_aux, side_rows)
+            incidence = SparseMatrix(incidence.mat[side_rows])
+        tr = e_aux_m = None
+        if e_aux is not None and not abl.no_meta:
+            knowledge = extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other)
+            tr = generate_transforms(tape, knowledge, _mlp(leaves, f"{side}_mlp1"),
+                                     _mlp(leaves, f"{side}_mlp2"))
+            e_aux_m = apply_transform(tape, tr, e_aux, leaves[f"{side}_transfer_slope"])
+        streams.append((e_view, e_aux, e_aux_m))
+        transforms.append(tr)
 
-    e_u_final = e_u if e_uu is None else fuse_final(tape, e_u, e_uu, e_uu_m, hp.alpha_user)
-    e_i_final = e_i if e_ii is None else fuse_final(tape, e_i, e_ii, e_ii_m, hp.alpha_item)
-
-    cache = ForwardCache(views=views, transforms_user=tr_u, transforms_item=tr_i,
-                         e_u_final=e_u_final, e_i_final=e_i_final)
+    # Both transfers run before either fusion, and both contrastive terms after
+    # BPR. The node order fixes the order in which gradients add up in the view
+    # embeddings, so reordering these stages changes the trained bits.
+    e_u_final, e_i_final = (
+        e_view if e_aux is None else fuse_final(tape, e_view, e_aux, e_aux_m, alpha)
+        for (e_view, e_aux, e_aux_m), alpha in zip(streams, (hp.alpha_user, hp.alpha_item)))
+    cache = ForwardCache(transforms=tuple(transforms), e_u_final=e_u_final, e_i_final=e_i_final)
     if batch is None:
         return cache
 
-    local = tuple(idx if rows is None else np.searchsorted(rows, idx)
-                  for rows, idx in ((rows_u, users), (rows_i, pos), (rows_i, neg)))
+    local = tuple(idx if side_rows is None else np.searchsorted(side_rows, idx)
+                  for side_rows, idx in zip((rows[0], rows[1], rows[1]), batch))
     reg = [leaves[k] for k in regularized_keys(leaves, abl)]
     cache.bpr = bpr_loss(tape, e_u_final, e_i_final, local, reg, cfg.loss.l2_weight)
 
     # A side's rows are already its contrastive pool unless that pool is full.
-    if pool_u != "off":
-        anchors = tape.add(e_uu_m, e_uu) if e_uu_m is not None else e_uu
-        cache.cl_user = infonce_loss(tape, anchors, e_u, None, cfg.loss.temperature)
-    if pool_i != "off":
-        anchors = tape.add(e_ii_m, e_ii) if e_ii_m is not None else e_ii
-        cache.cl_item = infonce_loss(tape, anchors, e_i, None, cfg.loss.temperature)
+    cache.cl_user, cache.cl_item = (
+        None if pool == "off" else
+        infonce_loss(tape, e_aux if e_aux_m is None else tape.add(e_aux_m, e_aux), e_view,
+                     None, cfg.loss.temperature)
+        for pool, (e_view, e_aux, e_aux_m) in zip(pools, streams))
 
     cache.loss = total_loss(tape, cache.bpr, cache.cl_user, cache.cl_item, cfg.loss)
     return cache
@@ -199,20 +195,18 @@ def transform_matrix_for_node(params: dict[str, np.ndarray], ops: GraphOperators
                               cfg: RunConfig, node: int, side: str) -> np.ndarray:
     """Materialized d x d personalized transform of one node."""
     abl, hp = cfg.ablations, cfg.hyper
-    if side not in ("user", "item"):
+    names = [name for name, _ in SIDES]
+    if side not in names:
         raise ValueError("side must be 'user' or 'item'")
+    index = names.index(side)
+    aux = SIDES[index][1]
     if abl.no_meta:
         raise ValueError("model was trained without the meta network")
-    if side == "user" and abl.no_uu:
-        raise ValueError("model was trained without the user-user view")
-    if side == "item" and abl.no_ii:
-        raise ValueError("model was trained without the item-item view")
-    count = ops.uu.shape[0] if side == "user" else ops.ii.shape[0]
-    if not 0 <= node < count:
+    if getattr(abl, f"no_{aux}"):
+        raise ValueError(f"model was trained without the {side}-{side} view")
+    if not 0 <= node < getattr(ops, aux).shape[0]:
         raise ValueError(f"unknown {side} index {node}")
     tape = Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    cache = forward_model(tape, leaves, ops, cfg)
-    tr = cache.transforms_user if side == "user" else cache.transforms_item
-    return materialize_transform(tr.w1.value[node].reshape(hp.dim, hp.rank),
-                                 tr.w2.value[node].reshape(hp.rank, hp.dim))
+    tr = forward_model(tape, leaves, ops, cfg).transforms[index]
+    return tr.w1.value[node].reshape(hp.dim, hp.rank) @ tr.w2.value[node].reshape(hp.rank, hp.dim)

@@ -7,8 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from hgcl.autodiff import SparseMatrix, Tape
 from hgcl.encoder import (GateParams, GraphOperators, aggregate_layers,
-                          build_graph_operators, encode, fuse_views,
-                          propagate_layer, self_gate)
+                          build_graph_operators, encode, fuse_views, self_gate)
 from hgcl.graphs import build_hetero_graph, normalize_adjacency
 
 
@@ -51,15 +50,14 @@ def test_gating_never_grows_magnitudes(e, w, b):
 def test_propagate_single_edge_copies_neighbor():
     mat = normalize_adjacency([(0, 0)], 1, 1)
     tape = Tape()
-    out = propagate_layer(tape, SparseMatrix(mat), tape.leaf(np.array([[1.0, 0.0]])))
+    out = tape.spmm(SparseMatrix(mat), tape.leaf(np.array([[1.0, 0.0]])))
     np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-15)
 
 
 def test_propagate_two_degree_one_neighbors():
     mat = normalize_adjacency([(0, 0), (0, 1)], 1, 2)
     tape = Tape()
-    out = propagate_layer(tape, SparseMatrix(mat),
-                          tape.leaf(np.array([[1.0, 0.0], [0.0, 1.0]])))
+    out = tape.spmm(SparseMatrix(mat), tape.leaf(np.array([[1.0, 0.0], [0.0, 1.0]])))
     np.testing.assert_allclose(out.value, [[2 ** -0.5, 2 ** -0.5]], atol=1e-15)
 
 
@@ -70,7 +68,7 @@ def test_propagate_matches_dense_oracle(seed):
     mat = normalize_adjacency(edges, 30, 40)
     x = rng.normal(size=(40, 8))
     tape = Tape()
-    out = propagate_layer(tape, SparseMatrix(mat), tape.leaf(x))
+    out = tape.spmm(SparseMatrix(mat), tape.leaf(x))
     assert np.abs(out.value - mat.toarray() @ x).max() < 1e-10
 
 

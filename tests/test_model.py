@@ -53,6 +53,13 @@ def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, trainab
     return tape, leaves, cache
 
 
+def encode_leaves(tape, leaves, ops, layers=2):
+    """The encoder's view embeddings of ``leaves``, gated where a side has its view."""
+    gates = (None if adj is None else GateParams(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"])
+             for side, adj in (("user", ops.uu), ("item", ops.ii)))
+    return encode(tape, leaves["user_emb"], leaves["item_emb"], *gates, ops, layers)
+
+
 def test_param_order_is_stable_and_complete():
     order = param_order(4, 2, 6, 8)
     names = [n for n, _ in order]
@@ -104,8 +111,9 @@ def test_forward_shapes_and_loss_components():
     _, _, cache = run_forward(params, ops, batch=batch)
     assert cache.e_u_final.value.shape == (6, 4)
     assert cache.e_i_final.value.shape == (8, 4)
-    assert cache.transforms_user.w1.value.shape == (6, 4 * 2)
-    assert cache.transforms_item.w2.value.shape == (8, 2 * 4)
+    tr_user, tr_item = cache.transforms
+    assert tr_user.w1.value.shape == (6, 4 * 2)
+    assert tr_item.w2.value.shape == (8, 2 * 4)
     assert cache.loss.value.shape == ()
     assert float(cache.cl_user.value) >= 0.0
     assert float(cache.cl_item.value) >= 0.0
@@ -114,10 +122,11 @@ def test_forward_shapes_and_loss_components():
 def test_no_meta_zeroes_transfer_path():
     graph, params, ops = tiny_setup()
     batch = batch_for(6, 8, 16)
-    _, _, cache = run_forward(params, ops, abl=Ablations(no_meta=True), batch=batch)
-    assert cache.transforms_user is None
+    tape, leaves, cache = run_forward(params, ops, abl=Ablations(no_meta=True), batch=batch)
+    assert cache.transforms[0] is None
     # final fusion falls back to view + bare auxiliary
-    manual = 0.8 * cache.views.e_u.value + 0.2 * cache.views.e_uu.value
+    views = encode_leaves(tape, leaves, ops)
+    manual = 0.8 * views.e_u.value + 0.2 * views.e_uu.value
     np.testing.assert_allclose(cache.e_u_final.value, manual, atol=1e-15)
 
 
@@ -125,10 +134,11 @@ def test_no_uu_drops_user_auxiliary_entirely():
     graph, params, ops_full = tiny_setup()
     ops = build_graph_operators(graph, np.float64, no_uu=True)
     batch = batch_for(6, 8, 16)
-    _, _, cache = run_forward(params, ops, abl=Ablations(no_uu=True), batch=batch)
-    assert cache.views.e_uu is None
+    tape, leaves, cache = run_forward(params, ops, abl=Ablations(no_uu=True), batch=batch)
+    views = encode_leaves(tape, leaves, ops)
+    assert views.e_uu is None
     assert cache.cl_user is None and cache.cl_item is not None
-    np.testing.assert_array_equal(cache.e_u_final.value, cache.views.e_u.value[np.unique(batch[0])])
+    np.testing.assert_array_equal(cache.e_u_final.value, views.e_u.value[np.unique(batch[0])])
 
 
 def test_no_cl_loss_equals_bpr():
@@ -242,9 +252,7 @@ def reference_loss(tape, leaves, ops, cfg, batch):
     def mlp(prefix):
         return MetaMLP(*(leaves[f"{prefix}_{k}"] for k in ("w_in", "b_in", "slope", "w_out", "b_out")))
 
-    views = encode(tape, leaves["user_emb"], leaves["item_emb"],
-                   GateParams(leaves["user_gate_w"], leaves["user_gate_b"]),
-                   GateParams(leaves["item_gate_w"], leaves["item_gate_b"]), ops, hp.layers)
+    views = encode_leaves(tape, leaves, ops, hp.layers)
     users, pos, neg = batch
     finals, contrastive = [], []
     for side, e_view, e_aux, incidence, e_other, alpha, cands in (
@@ -298,3 +306,51 @@ def test_batch_rows_only_training_runs_the_transfer_on_the_batch_rows():
     assert all(h in rows.values() for hs in heights.values() for h in hs), heights
     assert cache.e_u_final.value.shape[0] == rows["user"]
     assert cache.e_i_final.value.shape[0] == rows["item"]
+
+
+@pytest.mark.parametrize("negatives", ["full", "batch"])
+@pytest.mark.parametrize("ablation", [None, "meta", "uu", "ii", "cl"])
+def test_training_tape_records_no_dead_node(negatives, ablation):
+    # Every node's output feeds a later node, except the loss: the forward
+    # pass computes nothing that the loss does not read.
+    graph, params, _ = tiny_setup()
+    abl = Ablations.from_names([ablation] if ablation else [])
+    ops = build_graph_operators(graph, np.float64, no_uu=abl.no_uu, no_ii=abl.no_ii)
+    tape, _, cache = run_forward(params, ops, abl=abl, batch=SUBSET_BATCH,
+                                 loss_cfg=LossConfig(cl_negatives=negatives),
+                                 trainable=trainable_keys(params, abl))
+    read = {id(t) for _, _, inputs, _ in tape._nodes for t in inputs}
+    dead = [op for op, out, _, _ in tape._nodes if id(out) not in read and out is not cache.loss]
+    assert dead == []
+
+
+def test_benchmark_tracer_binds_the_model_names(monkeypatch):
+    # bench/tracer.py wraps these hgcl.model globals by name and binds
+    # infonce_loss's ``candidates`` argument. Without this test, renaming one
+    # or calling it other than through the module global fails only
+    # ``python3 -m pytest bench``, which the main suite does not collect.
+    import inspect
+    from pathlib import Path
+
+    import hgcl.model
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+
+    names = ("encode", "extract_meta_knowledge", "generate_transforms", "apply_transform",
+             "fuse_final", "forward_model", "bpr_loss", "infonce_loss")
+    originals = {name: getattr(hgcl.model, name) for name in names}
+    assert "candidates" in inspect.signature(hgcl.model.infonce_loss).parameters
+    graph, params, ops = tiny_setup()
+    spy = tracer.Tracer()
+    with spy.installed():
+        assert all(getattr(hgcl.model, name) is not originals[name] for name in names)
+        tape = Tape()
+        leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
+        hgcl.model.forward_model(tape, leaves, ops, model_cfg(), batch=batch_for(6, 8, 16))
+    assert all(getattr(hgcl.model, name) is originals[name] for name in names)
+    spans = {span for (_, span) in spy.calls}
+    assert {"encoder.encode", "meta.extract_meta_knowledge", "meta.generate_transforms",
+            "meta.apply_transform", "meta.fuse_final", "model.forward_model",
+            "objectives.bpr_loss", "objectives.infonce_loss"} <= spans
+    assert spy.counts[(False, "objectives.infonce_full_calls")] == 2
