@@ -70,16 +70,21 @@ class SparseMatrix:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows, and each branch is the exact one for its sign.
+    # exp(-|x|) never overflows; the numerator is exactly 1 or e by sign, picked
+    # by arithmetic on the 0/1 mask, as a select over a random mask is slower.
     # min(x, -x) rather than -|x| keeps a NaN's sign bit as the masked form did.
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    pos = (x >= 0).astype(e.dtype)
+    return (pos + e * (1.0 - pos)) / (1.0 + e)
 
 
 def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Zeros of ``shape`` with ``rows`` added at ``idx``, repeats accumulating."""
     buf = np.zeros(shape, dtype=rows.dtype)
-    np.add.at(buf, idx, rows)
+    if (idx[1:] > idx[:-1]).all():
+        buf[idx] = rows + 0.0  # unique rows; + 0.0 makes -0.0 +0.0 as adding to zeros does
+    else:
+        np.add.at(buf, idx, rows)
     return buf
 
 
@@ -221,11 +226,14 @@ class Tape:
             raise ValueError("prelu slope must be a scalar tensor")
         a = float(slope.value)
         xv = x.value
-        out = np.where(xv >= 0, xv, a * xv)
+        # x where x >= 0, else a*x, without a select over the sign mask. On a
+        # tie (x = +-0) numpy's maximum and minimum return their second operand.
+        out = np.maximum(a * xv, xv) if a <= 1 else np.minimum(a * xv, xv)
 
         def vjp(g):
-            dx = np.where(xv >= 0, g, g * a)
-            da = np.asarray((g * np.where(xv < 0, xv, 0.0)).sum(), dtype=g.dtype)
+            pos = (xv >= 0).astype(g.dtype)
+            dx = g * (pos + a * (1.0 - pos))  # g * 1 or g * a, exactly
+            da = np.asarray((g * np.minimum(xv, 0.0)).sum(), dtype=g.dtype)
             return (dx, da)
 
         return self._emit("prelu", out, (x, slope), vjp)
@@ -335,28 +343,46 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Fill ``grad`` on every trainable leaf reachable from ``loss``.
 
     Gradients accumulate additively when a tensor feeds multiple nodes;
-    non-trainable leaves are left untouched. A ``grad`` may be the very array
-    a VJP returned, shared with other tensors (``add`` hands ``g`` to both
-    inputs), so accumulation builds a new array: no VJP, nor any caller such
-    as ``adam_step``, may write to a gradient array.
+    non-trainable leaves are left untouched. A tensor's first ``grad`` is the
+    array a VJP returned, which other tensors may share (``add`` returns ``g``
+    twice, ``concat_columns`` views of it), so no VJP nor caller such as
+    ``adam_step`` may write to a gradient. Only ``backward`` writes, and only
+    into the array it built for a tensor's second contribution.
+
+    Finiteness is checked once, on the trainable leaves; if one is non-finite
+    the pass is replayed checking every VJP output, so that the ``DiffError``
+    names the primitive. A non-finite value that reaches no trainable leaf is
+    not reported, and one made only by adding two finite parts is left for
+    ``adam_step`` to reject.
     """
     if loss.value.shape != ():
         raise DiffError(f"loss must be scalar, got shape {loss.value.shape}")
     tape._sealed = True
-    for t in tape._tensors:
-        t.grad = None
-    loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
-    for op, out, inputs, vjp in reversed(tape._nodes):
-        og = out.grad
-        if og is None:
-            continue
-        grads = vjp(og)
-        for t, g in zip(inputs, grads):
-            if not t.produced and not t.trainable:
+    for checked in (False, True):
+        for t in tape._tensors:
+            t.grad = None
+        loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
+        owned: set[Tensor] = set()
+        for op, out, inputs, vjp in reversed(tape._nodes):
+            og = out.grad
+            if og is None:
                 continue
-            if not np.isfinite(g).all():
-                raise DiffError(f"non-finite gradient produced by primitive '{op}'")
-            t.grad = g if t.grad is None else t.grad + g
+            grads = vjp(og)
+            for t, g in zip(inputs, grads):
+                if not t.produced and not t.trainable:
+                    continue
+                if checked and not np.isfinite(g).all():
+                    raise DiffError(f"non-finite gradient produced by primitive '{op}'")
+                if t.grad is None:
+                    t.grad = g
+                elif t in owned:
+                    t.grad += g
+                else:
+                    t.grad = t.grad + g
+                    owned.add(t)
+        if all(np.isfinite(t.grad).all() for t in tape._tensors
+               if t.trainable and t.grad is not None):
+            return
 
 
 def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,

@@ -206,17 +206,18 @@ def read_manifest(path: str | Path) -> dict:
             key, value = key.strip(), value.strip()
             if key not in MANIFEST_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown manifest key {key!r}")
-            out[key] = value
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated manifest key {key!r}")
+            if not value:
+                raise ValueError(f"{path}:{lineno}: empty value for manifest key {key!r}")
+            if key in ("m", "n") and not value.isdecimal():
+                raise ValueError(f"{path}:{lineno}: {key} must be a non-negative integer, got {value!r}")
+            out[key] = int(value) if key in ("m", "n") else str((path.parent / value).resolve())
     for required in ("interactions", "social", "m", "n"):
         if required not in out:
             raise ValueError(f"{path}: missing manifest key {required!r}")
     if "item_categories" not in out and "item_relations" not in out:
         raise ValueError(f"{path}: need item_categories or item_relations")
-    for key in ("interactions", "social", "item_categories", "item_relations"):
-        if key in out:
-            out[key] = str((path.parent / out[key]).resolve())
-    out["m"] = int(out["m"])
-    out["n"] = int(out["n"])
     return out
 
 

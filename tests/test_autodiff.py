@@ -2,6 +2,7 @@
 dense oracles, plus the tape's error contract."""
 import ast
 import inspect
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from hgcl import autodiff
 from hgcl.autodiff import (DiffError, SparseMatrix, Tape, backward, grad_check)
+from hgcl.optim import AdamState, adam_step
 
 
 def scalar_loss(tape, x):
@@ -461,6 +463,21 @@ def test_accumulation_never_writes_into_a_shared_gradient():
     np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
 
+def test_in_place_accumulation_never_writes_into_a_view_of_a_shared_gradient():
+    # add hands one array to cat and w; concat_columns hands x a view of it.
+    # x's next two contributions must go into an array backward built.
+    tape = Tape()
+    x, y, w = (tape.leaf(np.ones(shape), trainable=True) for shape in ((1, 2), (1, 1), (1, 3)))
+    thrice, five_times = tape.scale(x, 3.0), tape.scale(x, 5.0)
+    cat = tape.concat_columns(x, y)
+    loss = tape.add(tape.sum_all(tape.add(cat, w)),
+                    tape.add(tape.sum_all(thrice), tape.sum_all(five_times)))
+    backward(tape, loss)
+    np.testing.assert_array_equal(w.grad, [[1.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(y.grad, [[1.0]])
+    np.testing.assert_array_equal(x.grad, [[9.0, 9.0]])
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     x = tape.leaf(np.ones(3), trainable=True)
@@ -494,6 +511,125 @@ def test_overflowing_gradient_names_the_primitive():
     assert np.isfinite(loss.value)
     with np.errstate(over="ignore"), pytest.raises(DiffError, match="non-finite.*'scale'"):
         backward(tape, loss)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_BUILDERS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_non_finite_upstream_gradient_reaches_an_input(name, dtype):
+    # backward checks finiteness only on the trainable leaves, so every VJP
+    # must carry a NaN or inf at any one entry of its upstream gradient into
+    # some input gradient. spmm is the one exception, pinned below.
+    rng = np.random.default_rng(1)
+    tape = Tape()
+    a, b = (tape.leaf(rng.uniform(-2, 2, (4, 4)).astype(dtype), trainable=True)
+            for _ in range(2))
+    PRIMITIVE_BUILDERS[name](tape, a, b)
+    op, out, inputs, vjp = tape._nodes[-1]
+    empty_rows = set(np.flatnonzero(np.diff(SPMM_ADJ.indptr) == 0)) if op == "spmm" else set()
+    for pos in np.ndindex(out.value.shape):
+        for bad in (np.nan, np.inf, -np.inf):
+            g = rng.uniform(-2, 2, out.value.shape).astype(dtype)
+            g[pos] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                reached = any(not np.isfinite(gi).all() for gi in vjp(g))
+            dropped = bool(pos) and pos[0] in empty_rows
+            assert reached != dropped, f"{op} at {pos}: {bad}"
+
+
+def test_a_non_finite_gradient_at_an_empty_spmm_row_no_longer_raises():
+    # Row 0 of the operator is empty, so the inf that mul's VJP writes at row
+    # 0 of spmm's output gradient reaches no input: no parameter sees it, and
+    # backward, which checks only the trainable leaves, returns.
+    adj = SparseMatrix(sp.csr_matrix(np.array([[0.0, 0.0], [0.5, 0.5]])))
+    tape = Tape()
+    x = tape.leaf(np.array([[1.0], [2.0]]), trainable=True)
+    weights = tape.leaf(np.array([[1e300], [1.0]]))
+    loss = tape.sum_all(tape.scale(tape.mul(tape.spmm(adj, x), weights), 1e300))
+    assert np.isfinite(loss.value)
+    with np.errstate(over="ignore"):
+        backward(tape, loss)
+    assert np.isfinite(x.grad).all()
+
+
+def test_a_leaf_gradient_that_overflows_only_when_added_fails_in_adam():
+    # Each scale's VJP writes a finite 1e308; their sum in x's gradient is
+    # inf. No primitive produced it, so backward returns and adam_step refuses.
+    tape = Tape()
+    x = tape.leaf(np.array([1e-300]), trainable=True, name="x")
+    loss = tape.add(tape.sum_all(tape.scale(x, 1e308)), tape.sum_all(tape.scale(x, 1e308)))
+    assert np.isfinite(loss.value)
+    with np.errstate(over="ignore"):
+        backward(tape, loss)
+    assert np.isinf(x.grad).all()
+    with pytest.raises(FloatingPointError, match="non-finite gradient for parameter 'x'"):
+        adam_step({"x": x.value}, {"x": x.grad}, AdamState(), 0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("idx", [[0, 2, 5, 7], [1, 3, 6], [4, 1, 4, 0, 7, 4], [6, 0, 3, 2]],
+                         ids=["unique_sorted", "negative_zeros", "repeated", "unsorted"])
+def test_scatter_rows_equals_add_at(idx, dtype):
+    idx = np.array(idx)
+    rows = np.random.default_rng(2).normal(size=(len(idx), 3)).astype(dtype)
+    rows[:, 1] = -0.0
+    expected = np.zeros((8, 3), dtype)
+    np.add.at(expected, idx, rows)
+    got = autodiff._scatter_rows((8, 3), idx, rows)
+    assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-45, -1e-45, 1e30, -1e30]
+SLOPES = [-0.5, 0.0, 0.25, 1.0, 2.0]
+
+
+def where_forms(x, g, a):
+    """The np.where forms the sigmoid and prelu computed before."""
+    e = np.exp(np.minimum(x, -x))
+    sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, x, a * x)
+    dx = np.where(x >= 0, g, g * a)
+    da = np.asarray((g * np.where(x < 0, x, 0.0)).sum(), dtype=g.dtype)
+    return sig, out, dx, da
+
+
+def assert_selects_match(x, g, a):
+    tape = Tape()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        y = tape.prelu(tape.leaf(x), tape.leaf(np.asarray(a, dtype=x.dtype)))
+        got = (autodiff._stable_sigmoid(x), y.value, *tape._nodes[-1][3](g))
+        want = where_forms(x, g, a)
+    for part, w in zip(got, want):
+        assert part.dtype == w.dtype == x.dtype and part.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), a=st.sampled_from(SLOPES),
+       data=st.data())
+def test_branch_free_selects_equal_the_where_forms(dtype, a, data):
+    width = 32 if dtype == np.float32 else 64
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False, width=width))
+    n = data.draw(st.integers(1, 12))
+    x, g = (np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=dtype)
+            for _ in range(2))
+    assert_selects_match(x, g, a)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_free_selects_equal_the_where_forms_on_every_special_pair(dtype):
+    # Every pair of special values, whatever hypothesis happens to draw.
+    for x, g, a in itertools.product(SPECIAL_FLOATS, SPECIAL_FLOATS, SLOPES):
+        assert_selects_match(np.array([x], dtype), np.array([g], dtype), a)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_free_selects_keep_nan(dtype):
+    x = np.array([np.nan, -np.nan, 1.0], dtype=dtype)
+    for a in SLOPES:
+        tape = Tape()
+        out = tape.prelu(tape.leaf(x), tape.leaf(np.asarray(a, dtype=dtype))).value
+        assert np.isnan(out[:2]).all() and out[2] == 1.0
+    assert np.isnan(autodiff._stable_sigmoid(x)[:2]).all()
 
 
 def test_gather_rows_bounds_checked():

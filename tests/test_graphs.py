@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgcl.cli import cli_main
-from hgcl.graphs import (EdgeFileError, build_hetero_graph, build_item_relations,
-                         load_category_file, load_dataset, load_edge_file,
-                         normalize_adjacency, read_manifest)
+from hgcl.graphs import (MANIFEST_KEYS, EdgeFileError, build_hetero_graph,
+                         build_item_relations, load_category_file, load_dataset,
+                         load_edge_file, normalize_adjacency, read_manifest)
 
 
 def write(tmp_path, name, text):
@@ -203,6 +203,19 @@ def test_manifest_rejects_unknown_keys(tmp_path):
         read_manifest(man)
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["m=abc", "interactions=i.tsv"], r"manifest\.txt:5: m must be a non-negative integer, got 'abc'"),
+    (["m=2", "m=3", "interactions=i.tsv"], r"manifest\.txt:6: repeated manifest key 'm'"),
+    (["interactions=", "m=2"], r"manifest\.txt:5: empty value for manifest key 'interactions'"),
+], ids=["not_an_integer", "repeated_key", "empty_path"])
+def test_manifest_faults_name_the_line(tmp_path, lines, message):
+    # Lines 1-4 are valid, and line 5 or 6 is the fault.
+    man = write(tmp_path, "manifest.txt", "social=s.tsv\nitem_categories=c.tsv\nn=2\n# note\n"
+                + "".join(f"{line}\n" for line in lines))
+    with pytest.raises(ValueError, match=message):
+        read_manifest(man)
+
+
 def test_load_dataset_remaps_sparse_external_ids(tmp_path):
     # External ids 10/20 (users) and 100/200 (items) become dense 0/1.
     man = make_dataset_dir(tmp_path,
@@ -249,6 +262,37 @@ def test_fuzzed_edge_files_fail_only_with_value_errors(target, text):
         try:
             load_dataset(manifest)
         except ValueError:  # EdgeFileError is one
+            config = write(root, "run.cfg", "[data]\nmanifest = manifest.txt\n")
+            assert cli_main(["train", "--config", str(config)]) == 2
+
+
+# Manifest lines: known and unknown keys with file names (present, missing, a
+# directory, a non-edge file), small integers, empty and junk values, and lines
+# without a key. m and n stay at most 1000, so that no example builds a big graph.
+MANIFEST_VALUE = st.one_of(
+    st.sampled_from(["interactions.tsv", "social.tsv", "item_categories.tsv", "missing.tsv",
+                     ".", "manifest.txt", ""]),
+    st.integers(-3, 1000).map(str), st.text(alphabet="09-+_ .aez/", max_size=6))
+MANIFEST_LINE = st.one_of(
+    st.tuples(st.sampled_from(MANIFEST_KEYS + ("bogus", "")), MANIFEST_VALUE).map("=".join),
+    st.text(alphabet=st.characters(blacklist_characters="="), max_size=8))
+MANIFEST_TEXT = st.lists(MANIFEST_LINE, max_size=8).map(lambda ls: "".join(f"{x}\n" for x in ls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=MANIFEST_TEXT)
+def test_fuzzed_manifests_fail_only_with_value_or_os_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        manifest = make_dataset_dir(root, [(0, 0), (1, 1)], [(0, 1)], [(0, 0), (1, 0)], 4, 4)
+        manifest.write_text(text, encoding="utf-8")
+        try:
+            read_manifest(manifest)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{manifest}:"), exc
+        try:
+            load_dataset(manifest)
+        except (ValueError, OSError):  # OSError: a missing file or a directory
             config = write(root, "run.cfg", "[data]\nmanifest = manifest.txt\n")
             assert cli_main(["train", "--config", str(config)]) == 2
 
