@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hgcl", description="Heterogeneous graph contrastive recommender")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -44,7 +52,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset manifest")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True, help="dataset manifest path")
-    p_eval.add_argument("--k", type=int, default=10)
+    p_eval.add_argument("--k", type=count, default=10)
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic clustered dataset")
     p_gen.add_argument("--out", required=True)
@@ -64,8 +72,8 @@ def build_parser() -> _Parser:
 
     p_gc = sub.add_parser("grad-check", help="finite-difference check of the full loss")
     p_gc.add_argument("--config", required=True)
-    p_gc.add_argument("--max-coords", type=int, default=200)
-    p_gc.add_argument("--batch", type=int, default=128)
+    p_gc.add_argument("--max-coords", type=count, default=200)
+    p_gc.add_argument("--batch", type=count, default=128)
     return parser
 
 

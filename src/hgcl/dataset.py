@@ -17,8 +17,10 @@ N_ACTIVITY_GROUPS = 5
 class InteractionDataset:
     """Immutable split of the interaction data.
 
-    ``train_edges`` is everything observed minus the held-out positives;
-    ``eval_negatives[u]`` are exactly 99 items ``u`` never interacted with.
+    ``train_edges`` is everything observed minus the held-out positives. The
+    evaluation rows are three aligned arrays in ascending user order: user
+    ``test_users[r]`` holds out ``test_positive[r]`` and is ranked against
+    ``eval_negatives[r]``, 99 sorted items it never interacted with.
     ``user_groups`` partitions all m users into activity buckets by train
     interaction count.
     """
@@ -26,8 +28,9 @@ class InteractionDataset:
     m: int
     n: int
     train_edges: np.ndarray          # (T, 2) int64
-    test_positive: dict[int, int]
-    eval_negatives: dict[int, np.ndarray]
+    test_users: np.ndarray           # (U,) int64, ascending
+    test_positive: np.ndarray        # (U,) int64
+    eval_negatives: np.ndarray       # (U, 99) int64, each row sorted
     user_groups: list[np.ndarray]
     train_counts: np.ndarray = field(repr=False)  # (m,) per-user train degree
 
@@ -35,18 +38,6 @@ class InteractionDataset:
         data = np.ones(len(self.train_edges), dtype=np.int8)
         return sp.csr_matrix((data, (self.train_edges[:, 0], self.train_edges[:, 1])),
                              shape=(self.m, self.n))
-
-    def serialize(self) -> bytes:
-        """Canonical byte serialization, used for idempotence checks."""
-        lines = [f"m={self.m}", f"n={self.n}"]
-        for u, i in self.train_edges:
-            lines.append(f"t\t{u}\t{i}")
-        for u in sorted(self.test_positive):
-            negs = ",".join(str(x) for x in self.eval_negatives[u])
-            lines.append(f"e\t{u}\t{self.test_positive[u]}\t{negs}")
-        for g, members in enumerate(self.user_groups):
-            lines.append(f"g\t{g}\t" + ",".join(str(x) for x in members))
-        return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def activity_groups(train_counts: np.ndarray, n_groups: int = N_ACTIVITY_GROUPS) -> list[np.ndarray]:
@@ -71,40 +62,41 @@ def split_leave_one_out(interactions: list[tuple[int, int]], m: int, n: int,
     plus 99 seeded-uniform never-interacted items as evaluation negatives."""
     if n < N_EVAL_NEGATIVES + 1:
         raise ValueError(f"need more than {N_EVAL_NEGATIVES} items, got {n}")
-    by_user: dict[int, list[int]] = {}
-    for u, i in sorted(set(interactions)):
-        if not (0 <= u < m) or not (0 <= i < n):
-            raise ValueError(f"interaction ({u}, {i}) out of range for {m}x{n}")
-        by_user.setdefault(u, []).append(i)
+    pairs = np.array(interactions, dtype=np.int64).reshape(-1, 2)
+    bad = (pairs[:, 0] < 0) | (pairs[:, 0] >= m) | (pairs[:, 1] < 0) | (pairs[:, 1] >= n)
+    if bad.any():
+        u, i = min(map(tuple, pairs[bad].tolist()))
+        raise ValueError(f"interaction ({u}, {i}) out of range for {m}x{n}")
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    users, items = keys // n, keys % n
+    degrees = np.bincount(users, minlength=m)
+    starts = np.cumsum(degrees) - degrees
 
     rng = np.random.default_rng(seed)
-    train: list[tuple[int, int]] = []
-    test_positive: dict[int, int] = {}
-    eval_negatives: dict[int, np.ndarray] = {}
-    skipped = 0
-    for u in sorted(by_user):
-        items = np.array(sorted(by_user[u]), dtype=np.int64)
-        if len(items) < 2:
-            skipped += 1
-            train.extend((u, int(i)) for i in items)
-            continue
-        held = int(items[rng.integers(len(items))])
-        test_positive[u] = held
-        train.extend((u, int(i)) for i in items if i != held)
-        pool = np.setdiff1d(np.arange(n, dtype=np.int64), items, assume_unique=True)
-        if len(pool) < N_EVAL_NEGATIVES:
-            raise ValueError(f"user {u}: only {len(pool)} non-interacted items, "
+    test_users = np.flatnonzero(degrees >= 2)
+    held = np.empty(len(test_users), dtype=np.int64)
+    negatives = np.empty((len(test_users), N_EVAL_NEGATIVES), dtype=np.int64)
+    for row, u in enumerate(test_users):
+        start, deg = starts[u], degrees[u]
+        held[row] = start + rng.integers(deg)
+        if n - deg < N_EVAL_NEGATIVES:
+            raise ValueError(f"user {u}: only {n - deg} non-interacted items, "
                              f"need {N_EVAL_NEGATIVES}")
-        eval_negatives[u] = np.sort(rng.choice(pool, size=N_EVAL_NEGATIVES, replace=False))
+        # Draw indices into the user's ascending never-interacted items. Item j
+        # has gaps[j] of those below it, so index k is item k + #(gaps <= k).
+        k = np.sort(rng.choice(n - deg, size=N_EVAL_NEGATIVES, replace=False))
+        gaps = items[start:start + deg] - np.arange(deg)
+        negatives[row] = k + np.searchsorted(gaps, k, side="right")
+    skipped = np.count_nonzero(degrees == 1)
     if skipped:
         log.info("split: %d user(s) with < 2 interactions kept train-only", skipped)
 
-    train_arr = np.array(sorted(train), dtype=np.int64).reshape(-1, 2)
+    train_arr = np.delete(np.stack([users, items], axis=1), held, axis=0)
     counts = np.bincount(train_arr[:, 0], minlength=m)
     groups = activity_groups(counts)
-    return InteractionDataset(m=m, n=n, train_edges=train_arr, test_positive=test_positive,
-                              eval_negatives=eval_negatives, user_groups=groups,
-                              train_counts=counts)
+    return InteractionDataset(m=m, n=n, train_edges=train_arr, test_users=test_users,
+                              test_positive=items[held], eval_negatives=negatives,
+                              user_groups=groups, train_counts=counts)
 
 
 class BprSampler:

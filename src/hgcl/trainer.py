@@ -26,7 +26,6 @@ log = logging.getLogger(__name__)
 @dataclass
 class GroupMetrics:
     label: str
-    size: int                 # users in the group
     evaluated: int            # users with a test row
     mean_train_count: float
     hr: float
@@ -61,11 +60,9 @@ def evaluate_ranks(e_user: np.ndarray, e_item: np.ndarray,
     Ties are broken toward the smaller item id, which makes the ranking a
     deterministic pure function of (embeddings, dataset).
     """
-    users = np.array(sorted(dataset.test_positive), dtype=np.int64)
+    users, pos, negs = dataset.test_users, dataset.test_positive, dataset.eval_negatives
     if len(users) == 0:
         raise ValueError("dataset has no evaluation rows")
-    pos = np.array([dataset.test_positive[int(u)] for u in users], dtype=np.int64)
-    negs = np.stack([dataset.eval_negatives[int(u)] for u in users])
     pos_scores = (e_user[users] * e_item[pos]).sum(axis=1)
     neg_scores = np.einsum("ud,ukd->uk", e_user[users], e_item[negs])
     beats = (neg_scores > pos_scores[:, None]) | (
@@ -83,16 +80,13 @@ def rank_metrics(ranks: np.ndarray, k: int) -> tuple[float, float]:
 def sparsity_report(users: np.ndarray, ranks: np.ndarray,
                     dataset: InteractionDataset, k: int) -> list[GroupMetrics]:
     """Per-activity-group HR/NDCG plus the group's mean train degree."""
-    rank_of = dict(zip(users.tolist(), ranks.tolist()))
     out = []
     for gi, members in enumerate(dataset.user_groups):
-        in_group = np.array([rank_of[int(u)] for u in members if int(u) in rank_of],
-                            dtype=np.int64)
+        in_group = ranks[np.isin(users, members)]
         hr, ndcg = rank_metrics(in_group, k)
         mean_count = float(dataset.train_counts[members].mean()) if len(members) else 0.0
-        out.append(GroupMetrics(label=f"g{gi + 1}", size=len(members),
-                                evaluated=len(in_group), mean_train_count=mean_count,
-                                hr=hr, ndcg=ndcg))
+        out.append(GroupMetrics(label=f"g{gi + 1}", evaluated=len(in_group),
+                                mean_train_count=mean_count, hr=hr, ndcg=ndcg))
     return out
 
 

@@ -296,9 +296,10 @@ def test_criterion_8_metric_unit_values():
     ds = InteractionDataset(
         m=3, n=n,
         train_edges=np.array([[0, 150], [1, 150], [2, 150]], dtype=np.int64),
-        test_positive={0: 0, 1: 2, 2: 10},
-        eval_negatives={u: np.array(sorted(set(range(100)) - {p}), dtype=np.int64)
-                        for u, p in {0: 0, 1: 2, 2: 10}.items()},
+        test_users=np.arange(3, dtype=np.int64),
+        test_positive=np.array([0, 2, 10], dtype=np.int64),
+        eval_negatives=np.array([sorted(set(range(100)) - {p}) for p in (0, 2, 10)],
+                                dtype=np.int64),
         user_groups=[np.arange(3)], train_counts=np.ones(3, dtype=np.int64))
     e_user = np.ones((3, 1))
     e_item = -np.arange(n, dtype=float).reshape(n, 1)  # item j scores -j

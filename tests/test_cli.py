@@ -168,6 +168,16 @@ def test_missing_required_argument():
     assert cli_main(["train"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "model.ckpt", "--data", "manifest.txt", "--k", "0"],
+    ["grad-check", "--config", "run.cfg", "--batch", "0"],
+    ["grad-check", "--config", "run.cfg", "--max-coords", "0"],
+], ids=["eval-k", "grad-check-batch", "grad-check-max-coords"])
+def test_count_flag_below_one_is_usage_error(argv, capsys):
+    assert cli_main(argv) == 1
+    assert f"argument {argv[-2]}: must be at least 1" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_runtime_error(tmp_path):
     assert cli_main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -1,8 +1,12 @@
 """Leave-one-out splitting, evaluation pools, and BPR triple sampling."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgcl.dataset import BprSampler, activity_groups, split_leave_one_out
+from hgcl.dataset import BprSampler, InteractionDataset, activity_groups, split_leave_one_out
 
 
 def grid_interactions(m, deg, n):
@@ -10,8 +14,18 @@ def grid_interactions(m, deg, n):
     return [(u, (u + j) % n) for u in range(m) for j in range(deg)]
 
 
+def train_only(m, n, train, groups, counts):
+    """A hand-built dataset without evaluation rows."""
+    return InteractionDataset(m=m, n=n, train_edges=train,
+                              test_users=np.empty(0, dtype=np.int64),
+                              test_positive=np.empty(0, dtype=np.int64),
+                              eval_negatives=np.empty((0, 99), dtype=np.int64),
+                              user_groups=groups, train_counts=np.array(counts))
+
+
 def test_one_positive_held_out_per_user():
     ds = split_leave_one_out([(0, 3), (0, 9)], m=1, n=120, seed=0)
+    assert ds.test_users.tolist() == [0]
     held = ds.test_positive[0]
     assert held in (3, 9)
     remaining = {3, 9} - {held}
@@ -22,9 +36,11 @@ def test_split_is_deterministic():
     inter = grid_interactions(12, 4, 130)
     a = split_leave_one_out(inter, 12, 130, seed=42)
     b = split_leave_one_out(inter, 12, 130, seed=42)
-    assert a.serialize() == b.serialize()
+    fields = ("train_edges", "test_users", "test_positive", "eval_negatives", "train_counts")
+    assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+    assert all(np.array_equal(x, y) for x, y in zip(a.user_groups, b.user_groups))
     c = split_leave_one_out(inter, 12, 130, seed=43)
-    assert a.serialize() != c.serialize()
+    assert not all(np.array_equal(getattr(a, f), getattr(c, f)) for f in fields)
 
 
 def test_negatives_drawn_from_non_interacted_pool():
@@ -38,9 +54,9 @@ def test_negatives_drawn_from_non_interacted_pool():
 
 def test_user_with_single_interaction_stays_train_only():
     ds = split_leave_one_out([(0, 1), (1, 2), (1, 3)], m=2, n=120, seed=0)
-    assert 0 not in ds.test_positive
+    assert 0 not in ds.test_users
     assert (0, 1) in set(map(tuple, ds.train_edges))
-    assert 1 in ds.test_positive
+    assert 1 in ds.test_users
 
 
 def test_too_few_items_for_negatives_is_an_error():
@@ -55,8 +71,68 @@ def test_negatives_never_intersect_interacted_set():
     by_user = {}
     for u, i in inter:
         by_user.setdefault(u, set()).add(i)
-    for u, negs in ds.eval_negatives.items():
+    for u, negs in zip(ds.test_users, ds.eval_negatives):
         assert not (set(negs.tolist()) & by_user[u])
+
+
+def pool_split(interactions, m, n, seed):
+    """Reference split: one ``setdiff1d`` pool per user, drawn from directly."""
+    by_user = {}
+    for u, i in sorted(set(interactions)):
+        by_user.setdefault(u, []).append(i)
+    rng = np.random.default_rng(seed)
+    train, users, positives, negatives = [], [], [], []
+    for u in sorted(by_user):
+        items = np.array(by_user[u], dtype=np.int64)
+        if len(items) < 2:
+            train.extend((u, i) for i in by_user[u])
+            continue
+        held = int(items[rng.integers(len(items))])
+        users.append(u)
+        positives.append(held)
+        train.extend((u, i) for i in by_user[u] if i != held)
+        pool = np.setdiff1d(np.arange(n, dtype=np.int64), items, assume_unique=True)
+        if len(pool) < 99:
+            raise ValueError(f"user {u}: only {len(pool)} non-interacted items, need 99")
+        negatives.append(np.sort(rng.choice(pool, size=99, replace=False)))
+    return (np.array(train, dtype=np.int64).reshape(-1, 2),
+            np.array(users, dtype=np.int64), np.array(positives, dtype=np.int64),
+            np.array(negatives, dtype=np.int64).reshape(-1, 99))
+
+
+@st.composite
+def split_inputs(draw):
+    """Unsorted, duplicated pairs over users with one item or more, and maybe
+    one user left with exactly 99 never-interacted items, or 98 (an error)."""
+    n = draw(st.integers(100, 130))
+    m = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                          max_size=60))
+    free = draw(st.sampled_from([None, 99, 98]))
+    if free is not None:
+        u = draw(st.integers(0, m - 1))
+        owned = draw(st.permutations(range(n)))[:n - free]
+        pairs = [p for p in pairs if p[0] != u] + [(u, i) for i in owned]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    return draw(st.permutations(pairs)), m, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_inputs(), st.integers(0, 2**32 - 1))
+def test_split_matches_the_per_user_pool_reference(case, seed):
+    pairs, m, n = case
+    try:
+        want = pool_split(pairs, m, n, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            split_leave_one_out(pairs, m, n, seed=seed)
+        return
+    ds = split_leave_one_out(pairs, m, n, seed=seed)
+    got = (ds.train_edges, ds.test_users, ds.test_positive, ds.eval_negatives)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
 
 
 def test_groups_partition_all_users():
@@ -114,11 +190,8 @@ def test_negative_frequencies_close_to_uniform():
     # between items 0 and 2 (within 2% over 1e5 draws).
     ds = split_leave_one_out([(0, 0), (0, 1), (0, 2)], m=1, n=120, seed=1)
     # Rebuild a tiny dataset by hand to control n exactly.
-    from hgcl.dataset import InteractionDataset
     train = np.array([[0, 1]], dtype=np.int64)
-    tiny = InteractionDataset(m=1, n=3, train_edges=train, test_positive={},
-                              eval_negatives={}, user_groups=[np.array([0])],
-                              train_counts=np.array([1]))
+    tiny = train_only(1, 3, train, [np.array([0])], [1])
     sampler = BprSampler(tiny, seed=11)
     _, _, neg = sampler.next_batch(100_000)
     freq = np.bincount(neg, minlength=3) / 100_000
@@ -128,22 +201,16 @@ def test_negative_frequencies_close_to_uniform():
 
 
 def test_all_items_interacted_is_an_error():
-    from hgcl.dataset import InteractionDataset
     train = np.array([[0, 0], [0, 1]], dtype=np.int64)
-    saturated = InteractionDataset(m=1, n=2, train_edges=train, test_positive={},
-                                   eval_negatives={}, user_groups=[np.array([0])],
-                                   train_counts=np.array([2]))
+    saturated = train_only(1, 2, train, [np.array([0])], [2])
     with pytest.raises(ValueError, match="every user"):
         BprSampler(saturated, seed=0)
 
 
 def test_saturated_user_is_skipped():
-    from hgcl.dataset import InteractionDataset
     # User 0 saturated (owns every item); user 1 has one free item.
     train = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int64)
-    ds = InteractionDataset(m=2, n=2, train_edges=train, test_positive={},
-                            eval_negatives={}, user_groups=[np.array([0, 1])],
-                            train_counts=np.array([2, 1]))
+    ds = train_only(2, 2, train, [np.array([0, 1])], [2, 1])
     users, pos, neg = BprSampler(ds, seed=0).next_batch(50)
     assert set(users.tolist()) == {1}
     assert set(neg.tolist()) == {1}

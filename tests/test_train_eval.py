@@ -26,16 +26,15 @@ def planted_dataset(ranks_by_user):
     positive is placed so that `rank - 1` negatives have smaller ids.
     """
     n = 200
-    test_positive = {}
-    eval_negatives = {}
-    for u, rank in ranks_by_user.items():
-        test_positive[u] = rank - 1  # items 0..rank-2 beat it
-        eval_negatives[u] = np.array(sorted(set(range(100)) - {rank - 1}), dtype=np.int64)
+    users = sorted(ranks_by_user)
+    positives = [ranks_by_user[u] - 1 for u in users]  # items 0..rank-2 beat it
+    negatives = [sorted(set(range(100)) - {p}) for p in positives]
     m = len(ranks_by_user)
-    train_edges = np.array([[u, 150] for u in ranks_by_user], dtype=np.int64)
+    train_edges = np.array([[u, 150] for u in users], dtype=np.int64)
     ds = InteractionDataset(m=m, n=n, train_edges=train_edges,
-                            test_positive=test_positive,
-                            eval_negatives=eval_negatives,
+                            test_users=np.array(users, dtype=np.int64),
+                            test_positive=np.array(positives, dtype=np.int64),
+                            eval_negatives=np.array(negatives, dtype=np.int64),
                             user_groups=[np.arange(m)],
                             train_counts=np.ones(m, dtype=np.int64))
     e_user = np.ones((m, 1))
@@ -281,6 +280,18 @@ def test_sparsity_groups_recombine_to_overall(trained_small):
     mix_ndcg = sum(g.ndcg * g.evaluated for g in groups) / total_eval
     assert abs(mix_hr - overall_hr) < 1e-12
     assert abs(mix_ndcg - overall_ndcg) < 1e-12
+
+
+def test_sparsity_groups_count_only_members_with_a_test_row():
+    # Users 0, 3 and 5 have no test row, and user 5 is a group of its own.
+    ds, _, e_item = planted_dataset({1: 3, 2: 1, 4: 11})
+    ds = replace(ds, m=6, user_groups=[np.array([0, 1]), np.array([2, 3, 4]), np.array([5])],
+                 train_counts=np.array([1, 2, 2, 3, 1, 4]))
+    users, ranks = evaluate_ranks(np.ones((6, 1)), e_item, ds)
+    assert (users.tolist(), ranks.tolist()) == ([1, 2, 4], [3, 1, 11])
+    groups = sparsity_report(users, ranks, ds, 10)
+    assert [(g.label, g.evaluated, g.mean_train_count, g.hr, g.ndcg) for g in groups] == [
+        ("g1", 1, 1.5, 1.0, 0.5), ("g2", 2, 2.0, 0.5, 0.5), ("g3", 0, 4.0, 0.0, 0.0)]
 
 
 def test_metrics_csv_format(trained_small):
