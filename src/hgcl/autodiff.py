@@ -16,10 +16,11 @@ import scipy.sparse as sp
 log = logging.getLogger(__name__)
 
 # Rows with L2 norm below this floor are passed through unchanged by
-# row_l2_normalize and treated as similarity 0 by infonce_rows.
+# row_l2_normalize and treated as similarity 0 by infonce_sum.
 NORM_FLOOR = 1e-12
 
-# Anchor rows per block in infonce_rows: it holds O(INFONCE_CHUNK * N) floats, not N x N.
+# Anchor rows per block in infonce_sum's forward, which builds the loss and its
+# gradient per block: O(INFONCE_CHUNK * N) floats, never N x N, and backward builds none.
 INFONCE_CHUNK = 512
 
 
@@ -282,61 +283,53 @@ class Tape:
 
         return self._emit("row_l2_normalize", y, (x,), vjp)
 
-    def infonce_rows(self, anchors: Tensor, targets: Tensor, temperature: float) -> Tensor:
-        """Per-anchor InfoNCE ``logsumexp_j(C_ij / t) - C_ii / t`` over the cosine
-        matrix ``C`` of anchor rows against target rows, aligned pairs on its
-        diagonal, in blocks of ``INFONCE_CHUNK`` anchor rows. The VJP is
-        ``(softmax - I) / t`` through the normalisation."""
+    def infonce_sum(self, anchors: Tensor, targets: Tensor, temperature: float) -> Tensor:
+        """Sum over anchors of InfoNCE ``logsumexp_j(C_ij / t) - C_ii / t`` over the
+        cosine matrix ``C`` of anchor rows against target rows, aligned pairs on its
+        diagonal. The forward computes the loss and both input gradients in blocks
+        of ``INFONCE_CHUNK`` anchor rows; the VJP only scales those by ``g / t``."""
         av, bv = anchors.value, targets.value
         if av.ndim != 2 or av.shape != bv.shape:
-            raise ValueError(f"infonce_rows: incompatible shapes {anchors.shape}, {targets.shape}")
-        inv_tau = float(1.0 / temperature)
+            raise ValueError(f"infonce_sum: incompatible shapes {anchors.shape}, {targets.shape}")
+        if not 0 < temperature < np.inf:
+            raise ValueError(f"infonce_sum: temperature must be finite and > 0, got {temperature}")
+        inv_tau = 1.0 / float(temperature)
         na = np.sqrt((av * av).sum(axis=1))
         nb = np.sqrt((bv * bv).sum(axis=1))
         za, zb = na < NORM_FLOOR, nb < NORM_FLOOR
         if za.any() or zb.any():
-            log.warning("infonce_rows: %d/%d near-zero rows treated as similarity 0",
+            log.warning("infonce_sum: %d/%d near-zero rows treated as similarity 0",
                         int(za.sum()), int(zb.sum()))
         inv_a = np.where(za, 0.0, 1.0 / np.where(za, 1.0, na))
         inv_b = np.where(zb, 0.0, 1.0 / np.where(zb, 1.0, nb))
         ah = av * inv_a[:, None]
         bh = bv * inv_b[:, None]
-        # Forward keeps only the per-row logsumexp; the VJP rebuilds each block's
-        # logits z, in which z[:, blk] is square with the aligned pairs on its diagonal.
-        blocks = [slice(i, i + INFONCE_CHUNK) for i in range(0, len(av), INFONCE_CHUNK)]
-
-        def logits(blk):
-            z = ah[blk] @ bh.T
-            z *= inv_tau
-            return z
-
-        lse, diag = np.empty(len(av), ah.dtype), np.empty(len(av), ah.dtype)
-        for blk in blocks:
-            z = logits(blk)
-            diag[blk] = z[:, blk].diagonal()
+        aht = ah * inv_tau
+        rows, ga, gb = np.empty(len(av), ah.dtype), np.empty_like(ah), np.zeros_like(bh)
+        for i in range(0, len(av), INFONCE_CHUNK):
+            blk = slice(i, i + INFONCE_CHUNK)
+            # The block's logits; z[:, blk] is square with the aligned pairs on its diagonal.
+            z = aht[blk] @ bh.T
+            rows[blk] = z[:, blk].diagonal()
             mx = z.max(axis=1)
             z -= mx[:, None]
             np.exp(z, out=z)
-            lse[blk] = mx + np.log(z.sum(axis=1))
+            s = z.sum(axis=1)
+            rows[blk] = mx + np.log(s) - rows[blk]
+            # z holds s * softmax; subtracting s on its diagonal makes it s * (softmax - I).
+            z[:, blk][np.diag_indices(len(z))] -= s
+            inv_s = (1.0 / s)[:, None]
+            ga[blk] = (z @ bh) * inv_s
+            gb += z.T @ (ah[blk] * inv_s)
+        # Row i of (softmax - I) * C sums to ah_i . ga_i and column j to bh_j . gb_j.
+        da = (ga - ah * (ah * ga).sum(axis=1)[:, None]) * inv_a[:, None]
+        db = (gb - bh * (bh * gb).sum(axis=1)[:, None]) * inv_b[:, None]
 
         def vjp(g):
-            # p = (softmax - I) * g / t per block; ga = p @ bh, gb = p.T @ ah.
-            ga, gb = np.empty_like(ah), np.zeros_like(bh)
-            for blk in blocks:
-                p = logits(blk)
-                p -= lse[blk, None]
-                np.exp(p, out=p)
-                p *= g[blk, None]
-                p[:, blk][np.diag_indices(len(p))] -= g[blk]
-                p *= inv_tau
-                ga[blk] = p @ bh
-                gb += p.T @ ah[blk]
-            # Row i of p * C sums to ah_i . ga_i and column j to bh_j . gb_j.
-            da = (ga - ah * (ah * ga).sum(axis=1)[:, None]) * inv_a[:, None]
-            db = (gb - bh * (bh * gb).sum(axis=1)[:, None]) * inv_b[:, None]
-            return (da, db)
+            c = g * inv_tau
+            return (da * c, db * c)
 
-        return self._emit("infonce_rows", lse - diag, (anchors, targets), vjp)
+        return self._emit("infonce_sum", np.asarray(rows.sum()), (anchors, targets), vjp)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

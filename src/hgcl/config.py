@@ -63,8 +63,8 @@ class Hyperparams:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

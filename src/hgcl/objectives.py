@@ -21,11 +21,11 @@ class LossConfig:
     cl_negatives: str = "auto"    # auto | full | batch
 
     def validate(self) -> None:
-        if not self.temperature > 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and > 0")
         for name in ("cl_user_weight", "cl_item_weight", "cl_weight", "l2_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.cl_negatives not in ("auto", "full", "batch"):
             raise ValueError("cl_negatives must be auto, full, or batch")
 
@@ -57,12 +57,10 @@ def infonce_loss(tape: Tape, anchors: Tensor, targets: Tensor,
     indices (in-batch mode); None contrasts every row against every row. The
     aligned pair sits on the diagonal and is part of the denominator.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
     if candidates is not None:
         anchors = tape.gather_rows(anchors, candidates)
         targets = tape.gather_rows(targets, candidates)
-    return tape.sum_all(tape.infonce_rows(anchors, targets, temperature))
+    return tape.infonce_sum(anchors, targets, temperature)
 
 
 def bpr_loss(tape: Tape, e_user: Tensor, e_item: Tensor, batch: tuple[np.ndarray, ...],

@@ -102,10 +102,10 @@ def test_composite_graph_matches_finite_differences():
         h = tape.row_l2_normalize(h)
         cat = tape.concat_columns(h, h)            # (5, 6)
         low = tape.lowrank_apply(w1, w2, cat)      # (6, 2) and (2, 6) factors
-        per_row = tape.infonce_rows(low, low, 1 / 3)
+        cl = tape.infonce_sum(low, low, 1 / 3)
         picked = tape.gather_rows(low, idx)
         extra = tape.sum_squares(picked)
-        return tape.add(tape.sum_all(per_row), extra)
+        return tape.add(cl, extra)
 
     inputs = {
         "x": rng.uniform(-2, 2, (6, 3)),
@@ -140,11 +140,11 @@ PRIMITIVE_BUILDERS = {
     "sigmoid": lambda t, a, b: t.sigmoid(a),
     "softplus": lambda t, a, b: t.bpr_rows(a, a, *BPR_TRIPLES),
     "row_l2_normalize": lambda t, a, b: t.row_l2_normalize(a),
-    # The fused InfoNCE op replaced the cosine and log-sum-exp primitives and
+    # The fused InfoNCE sum replaced the cosine and log-sum-exp primitives and
     # keeps their case ids: w.r.t. anchors as "cosine_sim_matrix", w.r.t.
     # targets as "logsumexp_rows".
-    "cosine_sim_matrix": lambda t, a, b: t.infonce_rows(a, b, 0.5),
-    "logsumexp_rows": lambda t, a, b: t.infonce_rows(b, a, 0.5),
+    "cosine_sim_matrix": lambda t, a, b: t.infonce_sum(a, b, 0.5),
+    "logsumexp_rows": lambda t, a, b: t.infonce_sum(b, a, 0.5),
     "concat_columns": lambda t, a, b: t.concat_columns(a, b),
     "row_sum": lambda t, a, b: t.bpr_rows(b, a, *BPR_TRIPLES),
     "prelu": lambda t, a, b: t.prelu(a, t.leaf(np.asarray(0.3, dtype=a.value.dtype))),
@@ -218,8 +218,7 @@ def lowrank_diag_case(seed, w2_grad_scale=1.0):
             return dw1, dw2 * w2_grad_scale, dx
 
         tape._nodes[-1] = (op, out, ins, scaled_vjp)
-        per_row = tape.infonce_rows(y, tape.add(y, tape.leaf(offset)), 1.0)
-        return tape.sum_all(per_row)
+        return tape.infonce_sum(y, tape.add(y, tape.leaf(offset)), 1.0)
 
     inputs = {"w1": rng.uniform(-2, 2, (5, 8)), "w2": rng.uniform(-2, 2, (5, 8)),
               "x": rng.uniform(-2, 2, (5, 4))}
@@ -286,10 +285,11 @@ def test_spmm_matches_dense_oracle(seed):
 
 @pytest.mark.parametrize("chunk", [None, 4], ids=["default", "chunk4"])
 def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk):
-    # Values and gradients against the closed form written out in numpy, with
+    # Value and gradients against the closed form written out in numpy, with
     # one zero-norm anchor row and one zero-norm target row (similarity 0,
     # zero gradient). At chunk 4 the 9 rows run as blocks of 4, 4 and 1: the
     # zero anchor opens the second block and the zero target is the last one.
+    # Two nodes read the loss, so its VJP gets their summed, non-unit g.
     if chunk is not None:
         monkeypatch.setattr(autodiff, "INFONCE_CHUNK", chunk)
     rng = np.random.default_rng(11)
@@ -298,12 +298,10 @@ def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk):
     b = rng.normal(size=(n, d))
     a[4] = 0.0
     b[8] = 0.0
-    weights = rng.uniform(0.5, 2.0, n)
     tape = Tape()
     a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
-    rows = tape.infonce_rows(a_leaf, b_leaf, tau)
-    loss = tape.sum_all(tape.mul(rows, tape.leaf(weights)))
-    backward(tape, loss)
+    loss = tape.infonce_sum(a_leaf, b_leaf, tau)
+    backward(tape, tape.add(tape.scale(loss, 0.7), loss))
 
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
@@ -312,7 +310,7 @@ def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk):
     logits = ah @ bh.T / tau
     expected = np.log(np.exp(logits).sum(axis=1)) - np.diag(logits)
     softmax = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    g_logits = (softmax - np.eye(n)) * weights[:, None] / tau
+    g_logits = (softmax - np.eye(n)) * 1.7 / tau
     g_ah, g_bh = g_logits @ bh, g_logits.T @ ah
     # d(x/|x|)/dx = (I - x_hat x_hat^T) / |x|, applied row by row.
     proj_a = np.einsum("ij,ik->ijk", ah, ah)
@@ -322,14 +320,15 @@ def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk):
     expected_da[4] = 0.0
     expected_db[8] = 0.0
 
-    np.testing.assert_allclose(rows.value, expected, rtol=0, atol=1e-12)
+    assert loss.value.shape == ()
+    np.testing.assert_allclose(loss.value, expected.sum(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=1e-12)
     assert np.all(a_leaf.grad[4] == 0.0)
     assert np.all(b_leaf.grad[8] == 0.0)
 
     def build(tp, t):
-        return tp.sum_all(tp.infonce_rows(t["a"], t["b"], tau))
+        return tp.infonce_sum(t["a"], t["b"], tau)
 
     # Off the zero rows: a probe there lifts the row above NORM_FLOOR, where
     # the loss is discontinuous by design.
@@ -347,12 +346,32 @@ def test_infonce_rows_memory_stays_below_one_square_matrix():
     try:
         tape = Tape()
         a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
-        backward(tape, tape.sum_all(tape.infonce_rows(a_leaf, b_leaf, 0.2)))
+        backward(tape, tape.infonce_sum(a_leaf, b_leaf, 0.2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert a_leaf.grad.shape == b_leaf.grad.shape == (n, d)
     assert peak < n * n * 8, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_infonce_backward_rebuilds_no_logit_block(dtype):
+    # The forward leaves the gradient ready, so backward over four blocks of
+    # rows allocates less than one chunk x n block of logits; the dtype holds.
+    n, d = 4 * autodiff.INFONCE_CHUNK, 32
+    rng = np.random.default_rng(14)
+    tape = Tape()
+    a_leaf, b_leaf = (tape.leaf(rng.normal(size=(n, d)).astype(dtype), trainable=True)
+                      for _ in range(2))
+    loss = tape.infonce_sum(a_leaf, b_leaf, 0.2)
+    tracemalloc.start()
+    try:
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loss.value.dtype == a_leaf.grad.dtype == b_leaf.grad.dtype == dtype
+    assert peak < autodiff.INFONCE_CHUNK * n * np.dtype(dtype).itemsize, f"peak {peak} B"
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["two_tables", "one_table"])
@@ -441,7 +460,7 @@ def test_backward_replay_is_bit_identical():
         tape = Tape()
         leaves = [tape.leaf(v, trainable=True) for v in (x_val, w_val, b_val)]
         xw = tape.affine(*leaves)
-        loss = tape.sum_all(tape.infonce_rows(tape.row_l2_normalize(xw), xw, 0.2))
+        loss = tape.infonce_sum(tape.row_l2_normalize(xw), xw, 0.2)
         backward(tape, loss)
         first = [t.grad.copy() for t in leaves]
         backward(tape, loss)  # a second pass over the same sealed tape
@@ -660,10 +679,10 @@ def test_shape_mismatches_raise():
         with pytest.raises(ValueError, match="lowrank_apply"):
             tape.lowrank_apply(tape.leaf(w1), tape.leaf(w2), a)
     for other in (np.ones((4, 3)), np.ones((2, 2))):  # rows differ, columns differ
-        with pytest.raises(ValueError, match="infonce_rows"):
-            tape.infonce_rows(a, tape.leaf(other), 0.2)
-    with pytest.raises(ValueError, match="infonce_rows"):
-        tape.infonce_rows(tape.leaf(np.ones(3)), tape.leaf(np.ones(3)), 0.2)
+        with pytest.raises(ValueError, match="infonce_sum"):
+            tape.infonce_sum(a, tape.leaf(other), 0.2)
+    with pytest.raises(ValueError, match="infonce_sum"):
+        tape.infonce_sum(tape.leaf(np.ones(3)), tape.leaf(np.ones(3)), 0.2)
     idx = np.array([0, 1])
     with pytest.raises(ValueError, match="bpr_rows"):  # embedding widths differ
         tape.bpr_rows(a, b, idx, idx, idx)
@@ -742,6 +761,6 @@ def test_every_primitive_has_a_model_caller():
 
 def test_every_primitive_is_grad_checked():
     primitives = _recording_primitives()
-    assert "infonce_rows" in primitives and "leaf" not in primitives
+    assert "infonce_sum" in primitives and "leaf" not in primitives
     missing = sorted(primitives - _grad_checked_methods())
     assert not missing, f"primitives without a grad_check test: {missing}"

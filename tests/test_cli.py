@@ -182,6 +182,20 @@ def test_missing_config_file_is_runtime_error(tmp_path):
     assert cli_main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("overrides, loss", [({}, "cl_weight = nan"), ({}, "temperature = inf"),
+                                             ({"learning_rate": "inf"}, "")],
+                         ids=["cl_weight-nan", "temperature-inf", "learning_rate-inf"])
+def test_train_rejects_a_non_finite_float_before_training(pipeline, tmp_path, caplog,
+                                                          overrides, loss):
+    root, _ = pipeline
+    cfg_path = write_config(tmp_path, root / "data" / "manifest.txt", **overrides)
+    with cfg_path.open("a", encoding="utf-8") as fh:
+        fh.write(f"[loss]\n{loss}\n")
+    assert cli_main(["train", "--config", str(cfg_path)]) == 2
+    assert "must be finite" in caplog.text
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
 def test_grad_check_command(pipeline, tmp_path):
     root, _ = pipeline
     cfg_path = write_config(tmp_path, root / "data" / "manifest.txt", dim=6, rank=2)

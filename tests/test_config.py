@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from hgcl.config import (Hyperparams, RunConfig, config_from_text, parse_config,
+from hgcl.config import (_SCHEMA, Hyperparams, RunConfig, config_from_text, parse_config,
                          serialize_config, with_ablations, with_seed)
 from hgcl.model import Ablations
 from hgcl.objectives import LossConfig
@@ -144,6 +144,19 @@ def test_temperature_positive():
     cfg = RunConfig(loss=LossConfig(temperature=0.0))
     with pytest.raises(ValueError, match="temperature"):
         cfg.validate()
+
+
+FLOAT_KEYS = [key for keys in _SCHEMA.values() for key, (_, kind) in keys.items()
+              if kind is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value):
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in SAMPLE.splitlines()]
+    with pytest.raises(ValueError, match=key):
+        config_from_text("\n".join(lines))
 
 
 def test_precision_values():

@@ -112,11 +112,24 @@ def test_sharper_temperature_widens_hard_anchor_gap():
     anchors[1] = targets[3]  # misaligned
 
     def per_term_gap(tau):
+        # Rows are unit norm, so the logits are the dot products over tau.
+        logits = anchors @ targets.T / tau
+        per = np.log(np.exp(logits).sum(axis=1)) - np.diag(logits)
         tape = Tape()
-        per = tape.infonce_rows(tape.leaf(anchors), tape.leaf(targets), tau).value
+        loss = infonce_loss(tape, tape.leaf(anchors), tape.leaf(targets), None, tau)
+        assert abs(float(loss.value) - per.sum()) < 1e-12
         return float(per[1] - per[0])
 
     assert per_term_gap(0.1) >= per_term_gap(0.5)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.2, math.nan, math.inf])
+def test_infonce_rejects_a_temperature_outside_zero_to_inf(temperature):
+    # The one check is the primitive's; infonce_loss has none of its own.
+    tape = Tape()
+    x = tape.leaf(np.eye(3))
+    with pytest.raises(ValueError, match="infonce_sum: temperature"):
+        infonce_loss(tape, x, x, None, temperature)
 
 
 def bpr_of_scores(tape, pos, neg, reg=(), l2_weight=0.0):

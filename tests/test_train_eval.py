@@ -119,11 +119,11 @@ def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, mon
 
 
 def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkeypatch):
-    # BPR and its L2 term are one node each; the three sum_all nodes are the
-    # BPR sum and the two contrastive sums. The two self-gates and the four
-    # two-layer meta MLPs record one affine node per layer. Of the two encoder
-    # layers only the first fuses its auxiliary outputs (an add and a scale
-    # per side): nothing reads a fusion of the last layer.
+    # BPR and its L2 term are one node each, and the one sum_all is the BPR
+    # sum; each contrastive term is one infonce_sum. The two self-gates and
+    # the four two-layer meta MLPs record one affine node per layer. Of the
+    # two encoder layers only the first fuses its auxiliary outputs (an add
+    # and a scale per side): nothing reads a fusion of the last layer.
     import hgcl.trainer as train_mod
     real, steps = train_mod.backward, []
 
@@ -134,8 +134,9 @@ def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkey
     monkeypatch.setattr(train_mod, "backward", recording)
     train(small_config(small_manifest, tmp_path, epochs=1), write_outputs=False)
     ops = steps[0]
-    assert sum(ops.values()) == 78
-    assert (ops["bpr_rows"], ops["sum_squares"], ops["sum_all"], ops["affine"]) == (1, 1, 3, 10)
+    assert sum(ops.values()) == 76
+    assert (ops["bpr_rows"], ops["sum_squares"], ops["sum_all"], ops["affine"]) == (1, 1, 1, 10)
+    assert ops["infonce_sum"] == 2
 
 
 def test_no_cl_ablation_removes_contrastive_terms(small_manifest, tmp_path):
