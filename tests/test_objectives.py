@@ -1,5 +1,6 @@
 """Loss oracles: closed-form values, invariances, and optimizer behavior."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,35 @@ def test_adam_none_gradient_leaves_value_untouched():
     value = params["w"].copy()
     adam_step(params, {"w": None}, state, 0.01)
     np.testing.assert_array_equal(params["w"], value)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_the_textbook_expression_bit_for_bit_without_allocating(dtype):
+    # The in-place update keeps the operation order of the allocating one, so
+    # parameters and moments agree to the bit; after the first step, which
+    # creates the buffers, a step allocates less than one parameter's size.
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=(400, 32)).astype(dtype)
+    params, state = {"w": p.copy()}, AdamState()
+    m, v = np.zeros_like(p), np.zeros_like(p)
+    for t in range(1, 6):
+        g = rng.normal(size=p.shape).astype(dtype) * dtype(10.0 ** (2 - t))
+        tracemalloc.start()
+        try:
+            adam_step(params, {"w": g}, state, 0.045)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = m * 0.9 + (1.0 - 0.9) * g
+        v = v * 0.999 + (1.0 - 0.999) * (g * g)
+        m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+        p -= 0.045 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert params["w"].dtype == dtype
+        np.testing.assert_array_equal(params["w"], p)
+        np.testing.assert_array_equal(state.first["w"], m)
+        np.testing.assert_array_equal(state.second["w"], v)
+        if t > 1:
+            assert peak < p.nbytes, f"step {t} allocated {peak} B"
 
 
 def test_adam_converges_on_quadratic_bowl():
