@@ -7,9 +7,11 @@ Usage:
 The rev's tracked files are extracted with ``git archive`` into a temporary
 directory; only local git is used. One synthetic dataset (``gen-synth
 --users 200 --items 300 --homophily 0.8 --seed 1``) serves both sides. For
-each of 20 trainings (f64 and f32, ``full`` and ``batch`` contrastive
-negatives, no ablation and ``--ablate meta|uu|ii|cl``; 10 epochs, batch 512)
-both sides run ``hgcl train`` from the same directory with the same config,
+each of 22 trainings (f64 and f32, ``full`` and ``batch`` contrastive
+negatives, no ablation and ``--ablate meta|uu|ii|cl``, all at the default
+temperature; then, with ``full`` negatives, f32 at temperature 0.01 and f64
+at 0.002, where ``infonce_sum`` shifts each row by its max; 10 epochs, batch
+512) both sides run ``hgcl train`` from the same directory with the same config,
 and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
 for byte. The same directory matters: a checkpoint embeds its config, whose
 paths are resolved to absolute ones. After the f64, full, unablated training
@@ -35,9 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUTS = ("model.ckpt", "metrics.csv", "epochs.jsonl")
-RUNS = [(precision, negatives, ablation)
+RUNS = [(precision, negatives, ablation, None)
         for precision in ("f64", "f32") for negatives in ("full", "batch")
         for ablation in (None, "meta", "uu", "ii", "cl")]
+RUNS += [("f32", "full", None, 0.01), ("f64", "full", None, 0.002)]
 CONFIG = """[data]
 manifest = data/manifest.txt
 checkpoint = out/model.ckpt
@@ -47,7 +50,7 @@ epochs_jsonl = out/epochs.jsonl
 precision = {precision}
 [loss]
 cl_negatives = {negatives}
-[train]
+{temperature}[train]
 epochs = 10
 batch_size = 512
 seed = 0
@@ -82,10 +85,11 @@ def drift(base: Path, change: Path) -> str:
 
 def run_side(tree: Path, work: Path, keep: Path, run) -> None:
     """Train one configuration with ``tree`` and copy what it wrote to ``keep``."""
-    precision, negatives, ablation = run
+    precision, negatives, ablation, temperature = run
     shutil.rmtree(work / "out", ignore_errors=True)
-    (work / "run.cfg").write_text(CONFIG.format(precision=precision, negatives=negatives),
-                                  encoding="utf-8")
+    (work / "run.cfg").write_text(CONFIG.format(
+        precision=precision, negatives=negatives,
+        temperature=f"temperature = {temperature}\n" if temperature else ""), encoding="utf-8")
     hgcl(tree, work, "train", "--config", "run.cfg",
          *(("--ablate", ablation) if ablation else ()))
     keep.mkdir(parents=True)
@@ -120,7 +124,8 @@ def main() -> int:
             base, change = tmp / "base-out" / str(index), tmp / "change-out" / str(index)
             run_side(tmp / "base", work, base, run)
             run_side(ROOT, work, change, run)
-            groups = [(f"train {run[0]} {run[1]:5s} --ablate {run[2] or '-'}", OUTPUTS)]
+            label = f"train {run[0]} {run[1]:5s} --ablate {run[2] or '-'}"
+            groups = [(label + (f" t={run[3]}" if run[3] else ""), OUTPUTS)]
             if run == RUNS[0]:
                 groups += [(f"export-transforms --side {side}", (f"{side}17.csv",))
                            for side in ("user", "item")]

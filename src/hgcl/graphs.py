@@ -20,7 +20,8 @@ class EdgeFileError(ValueError):
 def _parse_lines(path: str | Path):
     """Yield the two leading ids of each line; blank and ``#`` lines are skipped."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 become lone surrogates: such a line fails naming path:line.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -195,7 +196,8 @@ def read_manifest(path: str | Path) -> dict:
     """Parse a key=value dataset manifest; relative paths resolve next to it."""
     path = Path(path)
     out: dict = {}
-    with path.open("r", encoding="utf-8") as fh:
+    # As in _parse_lines, bytes that are not UTF-8 fail as a bad key or value.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

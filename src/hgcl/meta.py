@@ -76,17 +76,3 @@ def write_transform_csv(matrix: np.ndarray, path: str | Path) -> None:
             for c in range(matrix.shape[1]):
                 writer.writerow([r, c, format(float(matrix[r, c]), ".17g")])
 
-
-def read_transform_csv(path: str | Path) -> np.ndarray:
-    rows = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["row", "col", "value"]:
-            raise ValueError(f"unexpected transform CSV header: {header}")
-        rows = [(int(r), int(c), float(v)) for r, c, v in reader]
-    size = max(r for r, _, _ in rows) + 1
-    out = np.zeros((size, max(c for _, c, _ in rows) + 1))
-    for r, c, v in rows:
-        out[r, c] = v
-    return out

@@ -117,10 +117,3 @@ def generate_synthetic(out_dir: str | Path, m: int, n: int, homophily: float,
         fh.write(f"n={n}\n")
     return manifest_path
 
-
-def cluster_labels(m: int, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Reproduce the planted (user cluster, item category) assignment for a seed."""
-    rng = np.random.default_rng(seed)
-    user_cluster = _round_robin(m, N_CLUSTERS, rng)
-    item_category = _round_robin(n, N_CLUSTERS * CATEGORIES_PER_CLUSTER, rng)
-    return user_cluster, item_category

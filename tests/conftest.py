@@ -1,3 +1,4 @@
+import csv
 import logging
 
 import numpy as np
@@ -6,6 +7,20 @@ import pytest
 from hgcl.config import Hyperparams, RunConfig
 from hgcl.objectives import LossConfig
 from hgcl.synthetic import generate_synthetic
+
+
+def read_transform_csv(path) -> np.ndarray:
+    """The matrix a ``row,col,value`` CSV from ``meta.write_transform_csv`` holds."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["row", "col", "value"]:
+            raise ValueError(f"unexpected transform CSV header: {header}")
+        rows = [(int(r), int(c), float(v)) for r, c, v in reader]
+    out = np.zeros((max(r for r, _, _ in rows) + 1, max(c for _, c, _ in rows) + 1))
+    for r, c, v in rows:
+        out[r, c] = v
+    return out
 
 logging.getLogger("hgcl").setLevel(logging.WARNING)
 

@@ -283,57 +283,134 @@ def test_spmm_matches_dense_oracle(seed):
     assert grad_check(build, {"y": y}, max_coords=64) < 1e-6
 
 
-@pytest.mark.parametrize("chunk", [None, 4], ids=["default", "chunk4"])
-def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk):
-    # Value and gradients against the closed form written out in numpy, with
-    # one zero-norm anchor row and one zero-norm target row (similarity 0,
-    # zero gradient). At chunk 4 the 9 rows run as blocks of 4, 4 and 1: the
-    # zero anchor opens the second block and the zero target is the last one.
-    # Two nodes read the loss, so its VJP gets their summed, non-unit g.
-    if chunk is not None:
-        monkeypatch.setattr(autodiff, "INFONCE_CHUNK", chunk)
-    rng = np.random.default_rng(11)
-    n, d, tau = 9, 5, 0.3
-    a = rng.normal(size=(n, d))
-    b = rng.normal(size=(n, d))
-    a[4] = 0.0
-    b[8] = 0.0
-    tape = Tape()
-    a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
-    loss = tape.infonce_sum(a_leaf, b_leaf, tau)
-    backward(tape, tape.add(tape.scale(loss, 0.7), loss))
+# (dtype, temperature, absolute tolerance) on each side of infonce_sum's row-max
+# threshold, where 2/t passes -ln(tiny)/2: t < 0.0458 at f32 and t < 0.00565 at
+# f64. Gradients grow as 1/t, and the tolerances with them.
+INFONCE_BRANCHES = [(np.float64, 0.3, 1e-12), (np.float64, 0.004, 1e-10),
+                    (np.float32, 0.3, 2e-5), (np.float32, 0.03, 5e-4)]
 
+
+def infonce_case(chunk, dtype, tau, atol):
+    """A closed-form case; ids name the chunk, then any branch but the first."""
+    row_max = 2 / tau > -0.5 * np.log(np.finfo(dtype).tiny)
+    branch = f"-{np.dtype(dtype).name}-t{tau}-{'row_max' if row_max else 'bound'}"
+    name = "default" if chunk is None else f"chunk{chunk}"
+    first = (dtype, tau, atol) == INFONCE_BRANCHES[0]
+    return pytest.param(chunk, dtype, tau, atol, id=name + ("" if first else branch))
+
+
+def infonce_closed_form(a, b, tau, g=1.0):
+    """infonce_sum's loss and input gradients (times ``g``) written out densely
+    in float64, each row shifted by its max; zero rows have similarity 0."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
     ah = np.divide(a, na, out=np.zeros_like(a), where=na > 0)
     bh = np.divide(b, nb, out=np.zeros_like(b), where=nb > 0)
     logits = ah @ bh.T / tau
-    expected = np.log(np.exp(logits).sum(axis=1)) - np.diag(logits)
-    softmax = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    g_logits = (softmax - np.eye(n)) * 1.7 / tau
+    mx = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - mx)
+    loss = (np.log(e.sum(axis=1)) + mx[:, 0] - np.diag(logits)).sum()
+    g_logits = (e / e.sum(axis=1, keepdims=True) - np.eye(len(a))) * g / tau
     g_ah, g_bh = g_logits @ bh, g_logits.T @ ah
-    # d(x/|x|)/dx = (I - x_hat x_hat^T) / |x|, applied row by row.
-    proj_a = np.einsum("ij,ik->ijk", ah, ah)
-    proj_b = np.einsum("ij,ik->ijk", bh, bh)
-    expected_da = np.einsum("ijk,ik->ij", np.eye(d) - proj_a, g_ah) / np.where(na > 0, na, 1.0)
-    expected_db = np.einsum("ijk,ik->ij", np.eye(d) - proj_b, g_bh) / np.where(nb > 0, nb, 1.0)
-    expected_da[4] = 0.0
-    expected_db[8] = 0.0
+    # d(x/|x|)/dx = (I - x_hat x_hat^T) / |x|, applied row by row; 0 on zero rows.
+    d = a.shape[1]
+    da = np.einsum("ijk,ik->ij", np.eye(d) - np.einsum("ij,ik->ijk", ah, ah), g_ah)
+    db = np.einsum("ijk,ik->ij", np.eye(d) - np.einsum("ij,ik->ijk", bh, bh), g_bh)
+    da = np.divide(da, na, out=np.zeros_like(da), where=na > 0)
+    db = np.divide(db, nb, out=np.zeros_like(db), where=nb > 0)
+    return loss, da, db
 
-    assert loss.value.shape == ()
-    np.testing.assert_allclose(loss.value, expected.sum(), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=1e-12)
+
+def clustered_pairs(rng, n, d, tau, sign=1.0):
+    """Anchor rows near ``sign`` times one unit vector and target rows near it,
+    spread so that cosines differ by about ``tau``: the softmax is neither
+    uniform nor one-hot at any temperature."""
+    u = np.eye(d)[0]
+    spread = np.sqrt(tau)
+    return (sign * u + spread * rng.normal(size=(n, d)), u + spread * rng.normal(size=(n, d)))
+
+
+@pytest.mark.parametrize("chunk, dtype, tau, atol", [
+    infonce_case(chunk, *case) for chunk in (None, 4) for case in INFONCE_BRANCHES])
+def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk, dtype, tau, atol):
+    # Value and gradients against the closed form, with one zero-norm anchor
+    # row and one zero-norm target row (similarity 0, zero gradient), on both
+    # sides of the row-max threshold. At chunk 4 the 9 rows run as blocks of
+    # 4, 4 and 1: the zero anchor opens the second block and the zero target
+    # is the last one. Two nodes read the loss, so its VJP gets their summed,
+    # non-unit g.
+    if chunk is not None:
+        monkeypatch.setattr(autodiff, "INFONCE_CHUNK", chunk)
+    a, b = clustered_pairs(np.random.default_rng(11), 9, 5, tau)
+    a[4] = 0.0
+    b[8] = 0.0
+    a, b = a.astype(dtype), b.astype(dtype)
+    tape = Tape()
+    a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
+    loss = tape.infonce_sum(a_leaf, b_leaf, tau)
+    backward(tape, tape.add(tape.scale(loss, 0.7), loss))
+    expected, expected_da, expected_db = infonce_closed_form(a, b, tau, g=1.7)
+
+    assert loss.value.shape == () and loss.value.dtype == dtype
+    np.testing.assert_allclose(loss.value, expected, rtol=0, atol=atol)
+    np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=atol)
+    np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=atol)
     assert np.all(a_leaf.grad[4] == 0.0)
     assert np.all(b_leaf.grad[8] == 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.004], ids=["bound", "row_max"])
+def test_infonce_passes_grad_check_on_both_branches(tau):
+    # grad_check runs at f64, where t = 0.004 takes the row-max branch. No
+    # zero rows: a probe there would lift the row above NORM_FLOOR, where the
+    # loss is discontinuous by design. The small eps keeps the central
+    # difference's truncation error small against the 1/t^3 curvature.
+    a, b = clustered_pairs(np.random.default_rng(12), 7, 5, tau)
 
     def build(tp, t):
         return tp.infonce_sum(t["a"], t["b"], tau)
 
-    # Off the zero rows: a probe there lifts the row above NORM_FLOOR, where
-    # the loss is discontinuous by design.
-    kept = {"a": np.delete(a, [4, 8], axis=0), "b": np.delete(b, [4, 8], axis=0)}
-    assert grad_check(build, kept, max_coords=None) < 1e-6
+    assert grad_check(build, {"a": a, "b": b}, eps=1e-7, max_coords=None) < 1e-6
+
+
+@pytest.mark.parametrize("dtype, tau", [(np.float32, 0.01), (np.float64, 0.002)])
+def test_infonce_anti_aligned_rows_stay_finite_at_extreme_temperatures(dtype, tau):
+    # Every anchor points away from every target, so each row's logits sit
+    # near -1/t and, shifted by the bound, near -2/t: exp underflows to 0 at
+    # both dtypes (e^-200 at f32, e^-1000 at f64). The row max keeps the sum.
+    a, b = clustered_pairs(np.random.default_rng(5), 6, 3, tau, sign=-1.0)
+    a, b = a.astype(dtype), b.astype(dtype)
+    tape = Tape()
+    a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
+    loss = tape.infonce_sum(a_leaf, b_leaf, tau)
+    backward(tape, loss)
+    expected, expected_da, expected_db = infonce_closed_form(a, b, tau)
+    assert np.isfinite(loss.value) and loss.value > 0
+    rel = 1e-12 if dtype == np.float64 else 1e-4
+    np.testing.assert_allclose(loss.value, expected, rtol=rel, atol=0)
+    scale = max(np.abs(expected_da).max(), np.abs(expected_db).max())
+    np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=rel * scale)
+    np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=rel * scale)
+
+
+def test_infonce_matches_closed_form_over_three_blocks_with_zero_rows():
+    # 2 * INFONCE_CHUNK + 7 rows run as two full blocks and a 7-row tail; a zero
+    # anchor opens the second block and a zero target ends the tail.
+    n = 2 * autodiff.INFONCE_CHUNK + 7
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
+    b[: n // 2] += a[: n // 2]  # half the pairs aligned, half unrelated
+    a[autodiff.INFONCE_CHUNK] = 0.0
+    b[n - 1] = 0.0
+    tape = Tape()
+    a_leaf, b_leaf = tape.leaf(a, trainable=True), tape.leaf(b, trainable=True)
+    loss = tape.infonce_sum(a_leaf, b_leaf, 0.2)
+    backward(tape, loss)
+    expected, expected_da, expected_db = infonce_closed_form(a, b, 0.2)
+    np.testing.assert_allclose(loss.value, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(a_leaf.grad, expected_da, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b_leaf.grad, expected_db, rtol=0, atol=1e-12)
 
 
 def test_infonce_rows_memory_stays_below_one_square_matrix():

@@ -7,7 +7,8 @@ import pytest
 from hgcl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hgcl.cli import _load_for_checkpoint, cli_main
 from hgcl.config import config_from_text
-from hgcl.meta import read_transform_csv
+
+from conftest import read_transform_csv
 
 
 def write_config(tmp_path, manifest, **overrides) -> Path:

@@ -285,7 +285,9 @@ def test_fuzzed_manifests_fail_only_with_value_or_os_errors(text):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         manifest = make_dataset_dir(root, [(0, 0), (1, 1)], [(0, 1)], [(0, 0), (1, 0)], 4, 4)
-        manifest.write_text(text, encoding="utf-8")
+        # A lone surrogate becomes bytes that are not UTF-8, which must fail
+        # like any other malformed line.
+        manifest.write_bytes(text.encode("utf-8", "surrogatepass"))
         try:
             read_manifest(manifest)
         except ValueError as exc:
@@ -295,6 +297,18 @@ def test_fuzzed_manifests_fail_only_with_value_or_os_errors(text):
         except (ValueError, OSError):  # OSError: a missing file or a directory
             config = write(root, "run.cfg", "[data]\nmanifest = manifest.txt\n")
             assert cli_main(["train", "--config", str(config)]) == 2
+
+
+def test_bytes_that_are_not_utf8_name_the_line(tmp_path):
+    # Undecodable bytes reach the parsers as lone surrogates and fail as a bad key or id.
+    manifest = make_dataset_dir(tmp_path, [(0, 0)], [(0, 1)], [(0, 0)], 2, 1)
+    manifest.write_bytes(manifest.read_bytes() + b"m\xff=3\n")
+    with pytest.raises(ValueError, match=r"manifest\.txt:6: unknown manifest key"):
+        read_manifest(manifest)
+    make_dataset_dir(tmp_path, [(0, 0)], [(0, 1)], [(0, 0)], 2, 1)
+    (tmp_path / "social.tsv").write_bytes(b"# caf\xe9\n0\t1\n1\t\xff\n")
+    with pytest.raises(EdgeFileError, match=r"social\.tsv:3: non-integer id"):
+        load_dataset(manifest)
 
 
 def test_id_past_int64_names_the_line_and_exits_two_without_traceback(tmp_path):

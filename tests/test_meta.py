@@ -5,8 +5,9 @@ import pytest
 from hgcl.autodiff import SparseMatrix, Tape, grad_check
 from hgcl.graphs import normalize_adjacency
 from hgcl.meta import (MetaMLP, apply_transform, extract_meta_knowledge,
-                       fuse_final, generate_transforms, mlp_apply,
-                       read_transform_csv, write_transform_csv)
+                       fuse_final, generate_transforms, mlp_apply, write_transform_csv)
+
+from conftest import read_transform_csv
 
 
 def binary_incidence(edges, m, n):

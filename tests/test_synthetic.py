@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from hgcl.graphs import load_dataset
-from hgcl.synthetic import cluster_labels, generate_synthetic
+from hgcl.synthetic import (CATEGORIES_PER_CLUSTER, N_CLUSTERS, _round_robin,
+                            generate_synthetic)
+
+
+def cluster_labels(m: int, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The planted (user cluster, item category) assignment generate_synthetic
+    draws first from its seed."""
+    rng = np.random.default_rng(seed)
+    user_cluster = _round_robin(m, N_CLUSTERS, rng)
+    item_category = _round_robin(n, N_CLUSTERS * CATEGORIES_PER_CLUSTER, rng)
+    return user_cluster, item_category
 
 
 def read_all(root: Path) -> dict[str, bytes]:
