@@ -6,12 +6,19 @@ Usage:
 
 The rev's tracked files are extracted with ``git archive`` into a temporary
 directory; only local git is used. One synthetic dataset (``gen-synth
---users 200 --items 300 --homophily 0.8 --seed 1``) serves both sides. For
-each of 22 trainings (f64 and f32, ``full`` and ``batch`` contrastive
-negatives, no ablation and ``--ablate meta|uu|ii|cl``, all at the default
-temperature; then, with ``full`` negatives, f32 at temperature 0.01 and f64
-at 0.002, where ``infonce_sum`` shifts each row by its max; 10 epochs, batch
-512) both sides run ``hgcl train`` from the same directory with the same config,
+--users 200 --items 300 --homophily 0.8 --seed 1``) serves both sides, and
+a second is derived from its files to exercise the loader: external ids are
+sparse (users ``7919 * id + 13``, items ``2**63 - 1 - 7919 * id``, so the
+item order reverses), social lines repeat reversed and with self-loops, some
+items gain a second category or lose theirs, and comment lines, blank lines
+and extra fields are mixed in. Its two manifests name an item-category file
+and an item-relation file (consecutive items of each category). For each of
+26 trainings (on the first dataset: f64 and f32, ``full`` and ``batch``
+contrastive negatives, no ablation and ``--ablate meta|uu|ii|cl``, all at the
+default temperature; then, with ``full`` negatives, f32 at temperature 0.01
+and f64 at 0.002; on each manifest of the second, f64 ``full`` and f32
+``batch``; 10 epochs, batch 512) both sides run ``hgcl train`` from the same
+directory with the same config,
 and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
 for byte. The same directory matters: a checkpoint embeds its config, whose
 paths are resolved to absolute ones. After the f64, full, unablated training
@@ -37,12 +44,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUTS = ("model.ckpt", "metrics.csv", "epochs.jsonl")
-RUNS = [(precision, negatives, ablation, None)
+SYNTHETIC = "data/manifest.txt"
+DERIVED = ("messy/categories.txt", "messy/relations.txt")
+RUNS = [(precision, negatives, ablation, None, SYNTHETIC)
         for precision in ("f64", "f32") for negatives in ("full", "batch")
         for ablation in (None, "meta", "uu", "ii", "cl")]
-RUNS += [("f32", "full", None, 0.01), ("f64", "full", None, 0.002)]
+RUNS += [("f32", "full", None, 0.01, SYNTHETIC), ("f64", "full", None, 0.002, SYNTHETIC)]
+RUNS += [(precision, negatives, None, None, manifest) for manifest in DERIVED
+         for precision, negatives in (("f64", "full"), ("f32", "batch"))]
 CONFIG = """[data]
-manifest = data/manifest.txt
+manifest = {manifest}
 checkpoint = out/model.ckpt
 metrics_csv = out/metrics.csv
 epochs_jsonl = out/epochs.jsonl
@@ -67,6 +78,53 @@ def hgcl(tree: Path, work: Path, *args: str) -> bytes:
     return proc.stdout
 
 
+def derive_dataset(data: Path, out: Path) -> None:
+    """Write the second dataset, from the synthetic files in ``data``, to ``out``."""
+    def rows(name):
+        lines = (data / name).read_text(encoding="utf-8").splitlines()
+        return [tuple(map(int, line.split("\t"))) for line in lines if not line.startswith("#")]
+
+    def user(u):
+        return 7919 * u + 13
+
+    def item(i):
+        return 2**63 - 1 - 7919 * i
+
+    def write(name, lines):
+        (out / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+    out.mkdir()
+    inter, social, cats = rows("interactions.tsv"), rows("social.tsv"), rows("item_categories.tsv")
+    lines = ["# user\titem\trating"]
+    for k, (u, i) in enumerate(inter):
+        lines.append(f"{user(u)}\t{item(i)}\t1.0")
+        if k % 7 == 0:
+            lines += ["", "# repeated", f"{user(u)}\t{item(i)}"]
+    write("interactions.tsv", lines)
+    lines = []
+    for k, (a, b) in enumerate(social):
+        lines.append(f"{user(a)}\t{user(b)}")
+        if k % 5 == 0:
+            lines.append(f"{user(b)}\t{user(a)}\tagain")
+        if k % 11 == 0:
+            lines.append(f"  {user(a)}\t{user(a)}")
+    write("social.tsv", lines)
+    n_cats = 1 + max(c for _, c in cats)
+    categories = [(i, c) for i, c in cats if i % 17 != 0] + [(i, (c + 1) % n_cats)
+                                                            for i, c in cats if i % 13 == 0]
+    write("item_categories.tsv", ["# item\tcategory"] + [f"{item(i)}\t{104729 * c + 7}"
+                                                         for i, c in categories])
+    members = {}
+    for i, c in categories:
+        members.setdefault(c, []).append(i)
+    write("item_relations.tsv", [f"{item(a)}\t{item(b)}\n{item(b)}\t{item(a)}\n{item(a)}\t{item(a)}"
+                                 for group in members.values() for a, b in zip(group, group[1:])])
+    sizes = (data / "manifest.txt").read_text(encoding="utf-8").splitlines()[-2:]
+    for manifest, items in zip(DERIVED, ("item_categories", "item_relations")):
+        write(Path(manifest).name, ["interactions=interactions.tsv", "social=social.tsv",
+                                    f"{items}={items}.tsv", *sizes])
+
+
 def drift(base: Path, change: Path) -> str:
     """Worst relative difference per numeric field of two ``epochs.jsonl`` files."""
     lines = [p.read_text(encoding="utf-8").splitlines() for p in (base, change)]
@@ -85,10 +143,10 @@ def drift(base: Path, change: Path) -> str:
 
 def run_side(tree: Path, work: Path, keep: Path, run) -> None:
     """Train one configuration with ``tree`` and copy what it wrote to ``keep``."""
-    precision, negatives, ablation, temperature = run
+    precision, negatives, ablation, temperature, manifest = run
     shutil.rmtree(work / "out", ignore_errors=True)
     (work / "run.cfg").write_text(CONFIG.format(
-        precision=precision, negatives=negatives,
+        manifest=manifest, precision=precision, negatives=negatives,
         temperature=f"temperature = {temperature}\n" if temperature else ""), encoding="utf-8")
     hgcl(tree, work, "train", "--config", "run.cfg",
          *(("--ablate", ablation) if ablation else ()))
@@ -118,6 +176,7 @@ def main() -> int:
         work.mkdir()
         hgcl(ROOT, work, "gen-synth", "--out", "data", "--users", "200", "--items", "300",
              "--homophily", "0.8", "--seed", "1")
+        derive_dataset(work / "data", work / "messy")
 
         failed = 0
         for index, run in enumerate(RUNS):
@@ -125,7 +184,8 @@ def main() -> int:
             run_side(tmp / "base", work, base, run)
             run_side(ROOT, work, change, run)
             label = f"train {run[0]} {run[1]:5s} --ablate {run[2] or '-'}"
-            groups = [(label + (f" t={run[3]}" if run[3] else ""), OUTPUTS)]
+            label += f" t={run[3]}" if run[3] else ""
+            groups = [(label + (f" {run[4]}" if run[4] != SYNTHETIC else ""), OUTPUTS)]
             if run == RUNS[0]:
                 groups += [(f"export-transforms --side {side}", (f"{side}17.csv",))
                            for side in ("user", "item")]
@@ -133,7 +193,7 @@ def main() -> int:
             for label, names in groups:
                 bad = [n for n in names if (base / n).read_bytes() != (change / n).read_bytes()]
                 failed += bool(bad)
-                print(f"{'DIFFERENT' if bad else 'identical'}  {label:34s} "
+                print(f"{'DIFFERENT' if bad else 'identical'}  {label:54s} "
                       f"{', '.join(bad or names)}", flush=True)
                 if "epochs.jsonl" in bad:
                     print(f"{'':11s}drift: {drift(base / 'epochs.jsonl', change / 'epochs.jsonl')}",

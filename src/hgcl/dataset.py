@@ -56,13 +56,14 @@ def activity_groups(train_counts: np.ndarray, n_groups: int = N_ACTIVITY_GROUPS)
     return [np.sort(part) for part in np.array_split(order, n_groups)]
 
 
-def split_leave_one_out(interactions: list[tuple[int, int]], m: int, n: int,
+def split_leave_one_out(interactions: np.ndarray, m: int, n: int,
                         seed: int = 0) -> InteractionDataset:
     """Hold out one seeded-uniform positive per user with >= 2 interactions,
-    plus 99 seeded-uniform never-interacted items as evaluation negatives."""
+    plus 99 seeded-uniform never-interacted items as evaluation negatives.
+    ``interactions`` holds (user, item) rows in any order, repeats allowed."""
     if n < N_EVAL_NEGATIVES + 1:
         raise ValueError(f"need more than {N_EVAL_NEGATIVES} items, got {n}")
-    pairs = np.array(interactions, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(interactions, dtype=np.int64).reshape(-1, 2)
     bad = (pairs[:, 0] < 0) | (pairs[:, 0] >= m) | (pairs[:, 1] < 0) | (pairs[:, 1] >= n)
     if bad.any():
         u, i = min(map(tuple, pairs[bad].tolist()))

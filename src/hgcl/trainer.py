@@ -234,7 +234,7 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             log.info("epoch %d: loss=%.4f (%.2fs)", epoch, record["loss"], epoch_seconds[-1])
         curve.append(record)
 
-    final = evaluate(params, ops, cfg, dataset)
+    final = report  # the loop ended on an evaluation of these parameters
     final.loss_curve = curve
     ckpt = make_checkpoint(params)
     if write_outputs:

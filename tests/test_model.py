@@ -354,3 +354,34 @@ def test_benchmark_tracer_binds_the_model_names(monkeypatch):
             "meta.apply_transform", "meta.fuse_final", "model.forward_model",
             "objectives.bpr_loss", "objectives.infonce_loss"} <= spans
     assert spy.counts[(False, "objectives.infonce_full_calls")] == 2
+
+
+def test_benchmark_tracer_binds_the_setup_names(small_manifest, tmp_path, monkeypatch):
+    # bench/tracer.py times set-up by replacing these hgcl.trainer globals:
+    # Probe wraps load_bundle, and Tracer load_dataset, build_hetero_graph and
+    # split_leave_one_out. train() and load_bundle must call each through its
+    # module global, or the set-up spans stop measuring.
+    from pathlib import Path
+
+    import hgcl.trainer
+
+    from conftest import small_config
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+
+    names = ("load_bundle", "load_dataset", "build_hetero_graph", "split_leave_one_out")
+    originals = {name: getattr(hgcl.trainer, name) for name in names}
+    cfg = small_config(small_manifest, tmp_path, epochs=1)
+    probe = tracer.Probe()
+    timed = probe.train(cfg, setup_only=True)
+    assert timed.result is None and timed.setup_s > 0
+    assert probe.bundle is not None
+    spy = tracer.Tracer()
+    with spy.installed():
+        assert all(getattr(hgcl.trainer, name) is not originals[name] for name in names[1:])
+        bundle = hgcl.trainer.load_bundle(cfg)
+    assert all(getattr(hgcl.trainer, name) is originals[name] for name in names)
+    assert {"graphs.load_dataset", "graphs.build_hetero_graph", "dataset.split"} <= {
+        span for (_, span) in spy.calls}
+    assert spy.counts[(False, "graphs.edges")] == bundle.graph.total_edges

@@ -36,7 +36,7 @@ def test_generated_dataset_loads_cleanly(tmp_path):
     data = load_dataset(man)
     assert data.m == 30 and data.n == 140
     assert len(data.ui_edges) >= 30 * 2
-    assert data.uu_edges and data.ii_edges
+    assert len(data.uu_edges) and len(data.ii_edges)
 
 
 def test_full_homophily_keeps_social_edges_intra_cluster(tmp_path):

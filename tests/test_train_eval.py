@@ -319,6 +319,31 @@ def test_early_stopping_halts_runs(small_manifest, tmp_path):
     assert len(result.report.loss_curve) < 40
 
 
+@pytest.mark.parametrize("epochs, eval_every, patience", [(7, 3, 0), (40, 1, 2)],
+                         ids=["last_epoch", "early_stop"])
+def test_final_parameters_are_evaluated_once(small_manifest, tmp_path, monkeypatch,
+                                             epochs, eval_every, patience):
+    # The loop ends on an evaluation: at the last epoch (7, after 3 and 6) or
+    # at the early stop. Its report is the final one; nothing evaluates the
+    # same parameters again.
+    import hgcl.trainer as train_mod
+    real, reports = train_mod.evaluate, []
+
+    def counting(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(train_mod, "evaluate", counting)
+    cfg = replace(small_config(small_manifest, tmp_path, epochs=epochs, seed=1),
+                  eval_every=eval_every, patience=patience)
+    result = train(cfg)
+    evaluated = [r["epoch"] for r in result.report.loss_curve if "ndcg" in r]
+    assert len(reports) == len(evaluated) == (3 if patience == 0 else len(result.report.loss_curve))
+    assert result.stopped_early == (patience > 0)
+    assert result.report is reports[-1]
+    assert Path(cfg.metrics_csv).read_text() == "\n".join(reports[-1].csv_lines()) + "\n"
+
+
 def test_mismatched_rank_config_rejected(small_manifest, tmp_path):
     cfg = small_config(small_manifest, tmp_path)
     bad = replace(cfg, hyper=replace(cfg.hyper, rank=cfg.hyper.dim))
