@@ -13,11 +13,12 @@ item order reverses), social lines repeat reversed and with self-loops, some
 items gain a second category or lose theirs, and comment lines, blank lines
 and extra fields are mixed in. Its two manifests name an item-category file
 and an item-relation file (consecutive items of each category). For each of
-26 trainings (on the first dataset: f64 and f32, ``full`` and ``batch``
+28 trainings (on the first dataset: f64 and f32, ``full`` and ``batch``
 contrastive negatives, no ablation and ``--ablate meta|uu|ii|cl``, all at the
 default temperature; then, with ``full`` negatives, f32 at temperature 0.01
-and f64 at 0.002; on each manifest of the second, f64 ``full`` and f32
-``batch``; 10 epochs, batch 512) both sides run ``hgcl train`` from the same
+and f64 at 0.002, and f64 with 1 and with 3 encoder layers; on each manifest
+of the second, f64 ``full`` and f32 ``batch``; 10 epochs, batch 512, and 2
+encoder layers unless stated) both sides run ``hgcl train`` from the same
 directory with the same config,
 and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
 for byte. The same directory matters: a checkpoint embeds its config, whose
@@ -46,11 +47,14 @@ ROOT = Path(__file__).resolve().parents[1]
 OUTPUTS = ("model.ckpt", "metrics.csv", "epochs.jsonl")
 SYNTHETIC = "data/manifest.txt"
 DERIVED = ("messy/categories.txt", "messy/relations.txt")
-RUNS = [(precision, negatives, ablation, None, SYNTHETIC)
+# (precision, negatives, ablation, temperature, manifest, encoder layers)
+RUNS = [(precision, negatives, ablation, None, SYNTHETIC, 2)
         for precision in ("f64", "f32") for negatives in ("full", "batch")
         for ablation in (None, "meta", "uu", "ii", "cl")]
-RUNS += [("f32", "full", None, 0.01, SYNTHETIC), ("f64", "full", None, 0.002, SYNTHETIC)]
-RUNS += [(precision, negatives, None, None, manifest) for manifest in DERIVED
+RUNS += [("f32", "full", None, 0.01, SYNTHETIC, 2), ("f64", "full", None, 0.002, SYNTHETIC, 2)]
+# 1 and 3 layers reach the fusion's edges: none at all, and fusion twice.
+RUNS += [("f64", "full", None, None, SYNTHETIC, layers) for layers in (1, 3)]
+RUNS += [(precision, negatives, None, None, manifest, 2) for manifest in DERIVED
          for precision, negatives in (("f64", "full"), ("f32", "batch"))]
 CONFIG = """[data]
 manifest = {manifest}
@@ -59,6 +63,7 @@ metrics_csv = out/metrics.csv
 epochs_jsonl = out/epochs.jsonl
 [model]
 precision = {precision}
+layers = {layers}
 [loss]
 cl_negatives = {negatives}
 {temperature}[train]
@@ -143,10 +148,10 @@ def drift(base: Path, change: Path) -> str:
 
 def run_side(tree: Path, work: Path, keep: Path, run) -> None:
     """Train one configuration with ``tree`` and copy what it wrote to ``keep``."""
-    precision, negatives, ablation, temperature, manifest = run
+    precision, negatives, ablation, temperature, manifest, layers = run
     shutil.rmtree(work / "out", ignore_errors=True)
     (work / "run.cfg").write_text(CONFIG.format(
-        manifest=manifest, precision=precision, negatives=negatives,
+        manifest=manifest, precision=precision, negatives=negatives, layers=layers,
         temperature=f"temperature = {temperature}\n" if temperature else ""), encoding="utf-8")
     hgcl(tree, work, "train", "--config", "run.cfg",
          *(("--ablate", ablation) if ablation else ()))
@@ -185,6 +190,7 @@ def main() -> int:
             run_side(ROOT, work, change, run)
             label = f"train {run[0]} {run[1]:5s} --ablate {run[2] or '-'}"
             label += f" t={run[3]}" if run[3] else ""
+            label += f" layers={run[5]}" if run[5] != 2 else ""
             groups = [(label + (f" {run[4]}" if run[4] != SYNTHETIC else ""), OUTPUTS)]
             if run == RUNS[0]:
                 groups += [(f"export-transforms --side {side}", (f"{side}17.csv",))

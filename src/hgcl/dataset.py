@@ -68,7 +68,8 @@ def split_leave_one_out(interactions: np.ndarray, m: int, n: int,
     if bad.any():
         u, i = min(map(tuple, pairs[bad].tolist()))
         raise ValueError(f"interaction ({u}, {i}) out of range for {m}x{n}")
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     users, items = keys // n, keys % n
     degrees = np.bincount(users, minlength=m)
     starts = np.cumsum(degrees) - degrees

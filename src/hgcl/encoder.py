@@ -8,30 +8,10 @@ from dataclasses import dataclass
 from .autodiff import SparseMatrix, Tape, Tensor
 
 
-@dataclass
-class GateParams:
-    """Self-gating transform (d x d weight, d bias) for one node side."""
-
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass
-class ViewEmbeddings:
-    """Aggregated embeddings of all four streams.
-
-    Auxiliary entries are None when the corresponding graph is ablated away.
-    """
-
-    e_u: Tensor
-    e_i: Tensor
-    e_uu: Tensor | None
-    e_ii: Tensor | None
-
-
-def self_gate(tape: Tape, e0: Tensor, gate: GateParams) -> Tensor:
-    """Elementwise sigmoid gate computed from the embedding itself."""
-    return tape.mul(e0, tape.sigmoid(tape.affine(e0, gate.weight, gate.bias)))
+def self_gate(tape: Tape, e0: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Elementwise sigmoid gate computed from the embedding itself (d x d
+    weight, d bias)."""
+    return tape.mul(e0, tape.sigmoid(tape.affine(e0, weight, bias)))
 
 
 def fuse_views(tape: Tape, e_main: Tensor, e_aux: Tensor) -> Tensor:
@@ -68,46 +48,45 @@ def build_graph_operators(graph, dtype, *, no_uu: bool = False, no_ii: bool = Fa
     )
 
 
-def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, user_gate: GateParams | None,
-           item_gate: GateParams | None, ops: GraphOperators, n_layers: int) -> ViewEmbeddings:
+def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, gates: list[tuple[Tensor, Tensor] | None],
+           ops: GraphOperators, n_layers: int) -> tuple[tuple[Tensor, Tensor | None], ...]:
     """Run the full multi-layer encoding of all active streams.
 
-    Per layer: the interaction view propagates users from items and items from
-    users; each auxiliary view propagates within its own graph (one ``spmm``
-    per hop with the degree-normalized adjacency, so zero-degree rows come out
-    zero). Mean-pooling fusion of the auxiliary output forms the
-    interaction-view input of the next layer only, so the last layer has none;
-    the aggregation consumes the raw per-view outputs and the auxiliary streams
-    stay untouched by fusion. Ablated sides skip both the auxiliary stream and
-    the fusion step.
+    ``gates`` holds each side's self-gate ``(weight, bias)`` in (user, item)
+    order, read only where ``ops`` has the side's auxiliary graph (None
+    elsewhere is fine). Per layer: the interaction view propagates users from
+    items and items from users; each auxiliary view propagates within its own
+    graph (one ``spmm`` per hop with the degree-normalized adjacency, so
+    zero-degree rows come out zero). Mean-pooling fusion of the auxiliary
+    output forms the interaction-view input of the next layer only, so the last
+    layer has none; the aggregation consumes the raw per-view outputs and the
+    auxiliary streams stay untouched by fusion. Ablated sides skip both the
+    auxiliary stream and the fusion step.
+
+    Returns each side's aggregated ``(view, auxiliary)`` pair in (user, item)
+    order, the auxiliary None where its graph is ablated away. The node order
+    (both interaction hops, then each side's auxiliary hop and fusion; all view
+    aggregations before the auxiliary ones) fixes how gradients add up, so
+    reordering it changes the trained bits.
     """
     if n_layers < 1:
         raise ValueError("need at least one propagation layer")
-    e_uu0 = self_gate(tape, e_u0, user_gate) if ops.uu is not None else None
-    e_ii0 = self_gate(tape, e_i0, item_gate) if ops.ii is not None else None
-    layers_u: list[Tensor] = []
-    layers_i: list[Tensor] = []
-    layers_uu: list[Tensor] = []
-    layers_ii: list[Tensor] = []
-    x_u, x_i = e_u0, e_i0
-    x_uu, x_ii = e_uu0, e_ii0
+    adjs = (ops.uu, ops.ii)
+    view0 = (e_u0, e_i0)
+    aux0 = tuple(None if adj is None else self_gate(tape, e0, *gate)
+                 for e0, adj, gate in zip(view0, adjs, gates))
+    x, aux = list(view0), list(aux0)
+    view_layers, aux_layers = ([], []), ([], [])  # each side's per-layer outputs
     for layer in range(1, n_layers + 1):
-        x_u, x_i = tape.spmm(ops.ui, x_i), tape.spmm(ops.ui.T, x_u)
-        layers_u.append(x_u)
-        layers_i.append(x_i)
-        if ops.uu is not None:
-            x_uu = tape.spmm(ops.uu, x_uu)
-            layers_uu.append(x_uu)
-            if layer < n_layers:
-                x_u = fuse_views(tape, x_u, x_uu)
-        if ops.ii is not None:
-            x_ii = tape.spmm(ops.ii, x_ii)
-            layers_ii.append(x_ii)
-            if layer < n_layers:
-                x_i = fuse_views(tape, x_i, x_ii)
-    return ViewEmbeddings(
-        e_u=aggregate_layers(tape, e_u0, layers_u),
-        e_i=aggregate_layers(tape, e_i0, layers_i),
-        e_uu=aggregate_layers(tape, e_uu0, layers_uu) if ops.uu is not None else None,
-        e_ii=aggregate_layers(tape, e_ii0, layers_ii) if ops.ii is not None else None,
-    )
+        x = [tape.spmm(ops.ui, x[1]), tape.spmm(ops.ui.T, x[0])]
+        for side, adj in enumerate(adjs):
+            view_layers[side].append(x[side])
+            if adj is not None:
+                aux[side] = tape.spmm(adj, aux[side])
+                aux_layers[side].append(aux[side])
+                if layer < n_layers:
+                    x[side] = fuse_views(tape, x[side], aux[side])
+    views = [aggregate_layers(tape, e0, out) for e0, out in zip(view0, view_layers)]
+    auxes = [None if e0 is None else aggregate_layers(tape, e0, out)
+             for e0, out in zip(aux0, aux_layers)]
+    return tuple(zip(views, auxes))

@@ -170,14 +170,6 @@ class HeteroGraph:
     a_ii: sp.csr_matrix
 
     @property
-    def m(self) -> int:
-        return self.a_ui.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a_ui.shape[1]
-
-    @property
     def total_edges(self) -> int:
         # Undirected social/item edges are stored in both directions.
         return int(self.a_ui.nnz + self.a_uu.nnz // 2 + self.a_ii.nnz // 2)

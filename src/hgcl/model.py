@@ -7,7 +7,7 @@ import numpy as np
 
 from .autodiff import SparseMatrix, Tape, Tensor
 from .config import Ablations, RunConfig
-from .encoder import GateParams, GraphOperators, encode
+from .encoder import GraphOperators, encode
 from .meta import (MetaMLP, PersonalTransforms, apply_transform,
                    extract_meta_knowledge, fuse_final, generate_transforms)
 from .objectives import bpr_loss, infonce_loss, total_loss
@@ -98,10 +98,6 @@ class ForwardCache:
     loss: Tensor | None = None
 
 
-def _gate(leaves, side: str) -> GateParams:
-    return GateParams(weight=leaves[f"{side}_gate_w"], bias=leaves[f"{side}_gate_b"])
-
-
 def _mlp(leaves, prefix: str) -> MetaMLP:
     return MetaMLP(w_in=leaves[f"{prefix}_w_in"], b_in=leaves[f"{prefix}_b_in"],
                    slope=leaves[f"{prefix}_slope"], w_out=leaves[f"{prefix}_w_out"],
@@ -127,9 +123,9 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
     other rows would get a zero gradient.
     """
     hp, abl = cfg.hyper, cfg.ablations
-    views = encode(tape, leaves["user_emb"], leaves["item_emb"],
-                   *(None if getattr(ops, aux) is None else _gate(leaves, side)
-                     for side, aux in SIDES), ops, hp.layers)
+    encoded = encode(tape, leaves["user_emb"], leaves["item_emb"],
+                     [(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"]) for side, _ in SIDES],
+                     ops, hp.layers)
     pools = cl_negative_pools(ops, cfg)
     rows = (None, None)
     if batch is not None:
@@ -140,9 +136,8 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
     # Per side: the view, auxiliary and transferred auxiliary embeddings at its
     # rows (every node when None), and its transforms.
     streams, transforms = [], []
-    for (side, _), side_rows, (e_view, e_aux, incidence, e_other) in zip(SIDES, rows, (
-            (views.e_u, views.e_uu, ops.inc_ui, views.e_i),
-            (views.e_i, views.e_ii, ops.inc_ui.T, views.e_u))):
+    for (side, _), side_rows, (e_view, e_aux), (e_other, _), incidence in zip(
+            SIDES, rows, encoded, encoded[::-1], (ops.inc_ui, ops.inc_ui.T)):
         if side_rows is not None:
             e_view = tape.gather_rows(e_view, side_rows)
             e_aux = None if e_aux is None else tape.gather_rows(e_aux, side_rows)

@@ -5,35 +5,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hgcl.model
 from hgcl.autodiff import SparseMatrix, Tape
-from hgcl.encoder import (GateParams, GraphOperators, aggregate_layers,
-                          build_graph_operators, encode, fuse_views, self_gate)
+from hgcl.config import Ablations, Hyperparams, RunConfig
+from hgcl.encoder import (aggregate_layers, build_graph_operators, encode, fuse_views,
+                          self_gate)
 from hgcl.graphs import build_hetero_graph, normalize_adjacency
 
 
 def gate_of(tape, w, b):
-    return GateParams(weight=tape.leaf(np.asarray(w, dtype=float)),
-                      bias=tape.leaf(np.asarray(b, dtype=float)))
+    """A self-gate's (weight, bias) leaves."""
+    return tape.leaf(np.asarray(w, dtype=float)), tape.leaf(np.asarray(b, dtype=float))
 
 
 def test_zero_gate_halves_embedding():
     tape = Tape()
     e = tape.leaf(np.array([[2.0, -4.0], [1.0, 0.5]]))
-    out = self_gate(tape, e, gate_of(tape, np.zeros((2, 2)), np.zeros(2)))
+    out = self_gate(tape, e, *gate_of(tape, np.zeros((2, 2)), np.zeros(2)))
     np.testing.assert_allclose(out.value, e.value * 0.5, atol=1e-15)
 
 
 def test_saturated_gate_passes_embedding_through():
     tape = Tape()
     e = tape.leaf(np.array([[2.0, -4.0], [1.0, 0.5]]))
-    out = self_gate(tape, e, gate_of(tape, np.zeros((2, 2)), np.full(2, 20.0)))
+    out = self_gate(tape, e, *gate_of(tape, np.zeros((2, 2)), np.full(2, 20.0)))
     np.testing.assert_allclose(out.value, e.value, atol=1e-8)
 
 
 def test_identity_gate_scalar_values():
     tape = Tape()
     e = tape.leaf(np.array([[1.0, -2.0]]))
-    out = self_gate(tape, e, gate_of(tape, np.eye(2), np.zeros(2)))
+    out = self_gate(tape, e, *gate_of(tape, np.eye(2), np.zeros(2)))
     np.testing.assert_allclose(out.value, [[0.73106, -0.23841]], atol=1e-5)
 
 
@@ -43,7 +45,7 @@ def test_identity_gate_scalar_values():
        hnp.arrays(np.float64, (3,), elements=st.floats(-3, 3)))
 def test_gating_never_grows_magnitudes(e, w, b):
     tape = Tape()
-    out = self_gate(tape, tape.leaf(e), gate_of(tape, w, b))
+    out = self_gate(tape, tape.leaf(e), *gate_of(tape, w, b))
     assert np.all(np.abs(out.value) <= np.abs(e) + 1e-12)
 
 
@@ -147,18 +149,16 @@ def tiny_graph(m=6, n=8, seed=0, with_aux=True):
 def run_encode(graph, e_u0, e_i0, w_u, b_u, w_i, b_i, n_layers):
     ops = build_graph_operators(graph, np.float64)
     tape = Tape()
-    views = encode(tape, tape.leaf(e_u0), tape.leaf(e_i0),
-                   gate_of(tape, w_u, b_u), gate_of(tape, w_i, b_i),
-                   ops, n_layers)
-    return views
+    return encode(tape, tape.leaf(e_u0), tape.leaf(e_i0),
+                  (gate_of(tape, w_u, b_u), gate_of(tape, w_i, b_i)), ops, n_layers)
 
 
 def test_encode_zero_embeddings_stay_zero():
     graph = tiny_graph()
     d = 4
-    views = run_encode(graph, np.zeros((6, d)), np.zeros((8, d)),
+    sides = run_encode(graph, np.zeros((6, d)), np.zeros((8, d)),
                        np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d), 1)
-    for agg in (views.e_u, views.e_i, views.e_uu, views.e_ii):
+    for agg in (e for pair in sides for e in pair):
         np.testing.assert_array_equal(agg.value, 0.0)
 
 
@@ -170,8 +170,9 @@ def test_encode_is_bit_deterministic():
             rng.normal(size=(4, 4)), rng.normal(size=4), 2)
     v1 = run_encode(*args)
     v2 = run_encode(*args)
-    for a, b in ((v1.e_u, v2.e_u), (v1.e_i, v2.e_i), (v1.e_uu, v2.e_uu), (v1.e_ii, v2.e_ii)):
-        assert a.value.tobytes() == b.value.tobytes()
+    for pair1, pair2 in zip(v1, v2):
+        for a, b in zip(pair1, pair2):
+            assert a.value.tobytes() == b.value.tobytes()
 
 
 def recurrence_oracle(a_ui, e_u0, e_i0, gate_u0, gate_i0, n_layers):
@@ -203,7 +204,7 @@ def test_encode_empty_auxiliary_graphs_match_recurrence_oracle():
     e_i0 = rng.normal(size=(8, 4))
     w_u, b_u = rng.normal(size=(4, 4)), rng.normal(size=4)
     w_i, b_i = rng.normal(size=(4, 4)), rng.normal(size=4)
-    views = run_encode(graph, e_u0, e_i0, w_u, b_u, w_i, b_i, 2)
+    (e_u, e_uu), (e_i, e_ii) = run_encode(graph, e_u0, e_i0, w_u, b_u, w_i, b_i, 2)
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -212,21 +213,21 @@ def test_encode_empty_auxiliary_graphs_match_recurrence_oracle():
     gate_i0 = e_i0 * sigmoid(e_i0 @ w_i + b_i)
     exp_u, exp_i, exp_uu, exp_ii = recurrence_oracle(
         graph.a_ui.toarray(), e_u0, e_i0, gate_u0, gate_i0, 2)
-    assert np.abs(views.e_u.value - exp_u).max() < 1e-12
-    assert np.abs(views.e_i.value - exp_i).max() < 1e-12
+    assert np.abs(e_u.value - exp_u).max() < 1e-12
+    assert np.abs(e_i.value - exp_i).max() < 1e-12
     # Empty graphs leave no propagation mass: aggregates equal the gated inits.
-    assert np.abs(views.e_uu.value - exp_uu).max() < 1e-12
-    assert np.abs(views.e_ii.value - exp_ii).max() < 1e-12
+    assert np.abs(e_uu.value - exp_uu).max() < 1e-12
+    assert np.abs(e_ii.value - exp_ii).max() < 1e-12
 
 
 def test_encode_empty_aux_and_saturated_gates_reproduce_initials():
     rng = np.random.default_rng(3)
     graph = tiny_graph(seed=7, with_aux=False)
     e_u0 = rng.normal(size=(6, 4))
-    views = run_encode(graph, e_u0, rng.normal(size=(8, 4)),
-                       np.zeros((4, 4)), np.full(4, 1e3),
-                       np.zeros((4, 4)), np.full(4, 1e3), 2)
-    np.testing.assert_array_equal(views.e_uu.value, e_u0)
+    (_, e_uu), _ = run_encode(graph, e_u0, rng.normal(size=(8, 4)),
+                              np.zeros((4, 4)), np.full(4, 1e3),
+                              np.zeros((4, 4)), np.full(4, 1e3), 2)
+    np.testing.assert_array_equal(e_uu.value, e_u0)
 
 
 def test_layer_contributions_bound_drift():
@@ -234,10 +235,10 @@ def test_layer_contributions_bound_drift():
     graph = tiny_graph(seed=9)
     e_u0 = rng.normal(size=(6, 4))
     n_layers = 3
-    views = run_encode(graph, e_u0, rng.normal(size=(8, 4)),
-                       rng.normal(size=(4, 4)), rng.normal(size=4),
-                       rng.normal(size=(4, 4)), rng.normal(size=4), n_layers)
-    drift = np.linalg.norm(views.e_u.value - e_u0, axis=1)
+    (e_u, _), _ = run_encode(graph, e_u0, rng.normal(size=(8, 4)),
+                             rng.normal(size=(4, 4)), rng.normal(size=4),
+                             rng.normal(size=(4, 4)), rng.normal(size=4), n_layers)
+    drift = np.linalg.norm(e_u.value - e_u0, axis=1)
     assert np.all(drift <= n_layers + 1e-12)
 
 
@@ -255,7 +256,7 @@ def test_encode_permutation_equivariant():
     zeros_w, zeros_b = np.zeros((d, d)), np.zeros(d)
 
     graph = build_hetero_graph(ui, uu, [], m, n)
-    base = run_encode(graph, e_u0, e_i0, zeros_w, zeros_b, zeros_w, zeros_b, 2)
+    (base_u, _), (base_i, _) = run_encode(graph, e_u0, e_i0, zeros_w, zeros_b, zeros_w, zeros_b, 2)
 
     perm = np.array([2, 0, 3, 1])  # new index of each old user
     ui_p = [(int(perm[u]), i) for u, i in ui]
@@ -263,12 +264,13 @@ def test_encode_permutation_equivariant():
     graph_p = build_hetero_graph(sorted(ui_p), sorted(uu_p), [], m, n)
     e_u0_p = np.empty_like(e_u0)
     e_u0_p[perm] = e_u0
-    permuted = run_encode(graph_p, e_u0_p, e_i0, zeros_w, zeros_b, zeros_w, zeros_b, 2)
+    (perm_u, _), (perm_i, _) = run_encode(graph_p, e_u0_p, e_i0, zeros_w, zeros_b, zeros_w,
+                                          zeros_b, 2)
 
-    expected_u = np.empty_like(base.e_u.value)
-    expected_u[perm] = base.e_u.value
-    np.testing.assert_array_equal(permuted.e_u.value, expected_u)
-    np.testing.assert_array_equal(permuted.e_i.value, base.e_i.value)
+    expected_u = np.empty_like(base_u.value)
+    expected_u[perm] = base_u.value
+    np.testing.assert_array_equal(perm_u.value, expected_u)
+    np.testing.assert_array_equal(perm_i.value, base_i.value)
 
 
 def test_encode_requires_at_least_one_layer():
@@ -276,3 +278,85 @@ def test_encode_requires_at_least_one_layer():
     with pytest.raises(ValueError, match="at least one"):
         run_encode(graph, np.zeros((6, 4)), np.zeros((8, 4)),
                    np.zeros((4, 4)), np.zeros(4), np.zeros((4, 4)), np.zeros(4), 0)
+
+
+# The op names of the encoder's tape nodes, per layer count, with both
+# auxiliary graphs (True) or one ablated (False; either gives the same names).
+# Each layer runs both interaction hops, then the user side's auxiliary hop and
+# fusion, then the item side's; fusion stops before the last layer. The
+# aggregations of e_u, e_i, e_uu and e_ii follow, in that order. Backward adds
+# gradients up in reverse node order, so this order fixes the trained bits.
+ENCODE_NODES = {
+    (1, True): """affine sigmoid mul affine sigmoid mul spmm spmm spmm spmm
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add row_l2_normalize add""",
+    (1, False): """affine sigmoid mul spmm spmm spmm
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add""",
+    (2, True): """affine sigmoid mul affine sigmoid mul
+        spmm spmm spmm add scale spmm add scale
+        spmm spmm spmm spmm
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add row_l2_normalize add
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add row_l2_normalize add""",
+    (2, False): """affine sigmoid mul spmm spmm spmm add scale spmm spmm spmm
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add""",
+    (3, True): """affine sigmoid mul affine sigmoid mul
+        spmm spmm spmm add scale spmm add scale
+        spmm spmm spmm add scale spmm add scale
+        spmm spmm spmm spmm
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add row_l2_normalize add
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add row_l2_normalize add
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add row_l2_normalize add""",
+    (3, False): """affine sigmoid mul spmm spmm spmm add scale spmm spmm spmm add scale
+        spmm spmm spmm
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add
+        row_l2_normalize add row_l2_normalize add row_l2_normalize add""",
+}
+
+# The same nodes for 2 layers and both auxiliary graphs, each with its inputs:
+# a leaf by name, an encoder node by its index in this list.
+ENCODE_WIRING = [
+    "affine(user_emb,user_gate_w,user_gate_b)", "sigmoid(0)", "mul(user_emb,1)",
+    "affine(item_emb,item_gate_w,item_gate_b)", "sigmoid(3)", "mul(item_emb,4)",
+    "spmm(item_emb)", "spmm(user_emb)", "spmm(2)", "add(6,8)", "scale(9)",
+    "spmm(5)", "add(7,11)", "scale(12)",
+    "spmm(13)", "spmm(10)", "spmm(8)", "spmm(11)",
+    "row_l2_normalize(6)", "add(user_emb,18)", "row_l2_normalize(14)", "add(19,20)",
+    "row_l2_normalize(7)", "add(item_emb,22)", "row_l2_normalize(15)", "add(23,24)",
+    "row_l2_normalize(8)", "add(2,26)", "row_l2_normalize(16)", "add(27,28)",
+    "row_l2_normalize(11)", "add(5,30)", "row_l2_normalize(17)", "add(31,32)",
+]
+
+
+def encoder_nodes(monkeypatch, layers, ablate=None):
+    """The nodes ``forward_model``'s call of ``encode`` records, each as
+    ``op(inputs)``."""
+    abl = Ablations.from_names([ablate] if ablate else [])
+    ops = build_graph_operators(tiny_graph(), np.float64, no_uu=abl.no_uu, no_ii=abl.no_ii)
+    cfg = RunConfig(hyper=Hyperparams(dim=4, layers=layers, rank=2), ablations=abl)
+    nodes = []
+
+    def recording(tape, *args, **kwargs):
+        start = len(tape._nodes)
+        out = encode(tape, *args, **kwargs)
+        index = {id(node[1]): str(k) for k, node in enumerate(tape._nodes[start:])}
+        nodes.extend(f"{op}({','.join(index.get(id(x), x.name) for x in inputs)})"
+                     for op, _, inputs, _ in tape._nodes[start:])
+        return out
+
+    monkeypatch.setattr(hgcl.model, "encode", recording)
+    tape = Tape()
+    params = hgcl.model.init_params(6, 8, 4, 2, seed=0)
+    hgcl.model.forward_model(tape, {k: tape.leaf(v, name=k) for k, v in params.items()}, ops, cfg)
+    return nodes
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("ablate", [None, "uu", "ii"])
+def test_encode_records_its_nodes_in_a_fixed_order(monkeypatch, layers, ablate):
+    ops = [node.split("(")[0] for node in encoder_nodes(monkeypatch, layers, ablate)]
+    assert ops == ENCODE_NODES[layers, ablate is None].split()
+
+
+def test_encode_wires_each_node_to_its_stream(monkeypatch):
+    assert encoder_nodes(monkeypatch, 2) == ENCODE_WIRING

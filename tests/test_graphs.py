@@ -198,7 +198,7 @@ def test_zero_degree_rows_are_empty():
 
 def test_hetero_graph_shapes_and_incidence():
     graph = build_hetero_graph([(0, 1), (1, 0)], [(0, 1), (1, 0)], [], 2, 2)
-    assert graph.m == 2 and graph.n == 2
+    assert [a.shape for a in (graph.a_ui, graph.a_uu, graph.a_ii)] == [(2, 2)] * 3
     binary = graph.binary_ui()
     assert set(binary.data.tolist()) == {1.0}
     assert graph.total_edges == 2 + 1 + 0

@@ -5,7 +5,7 @@ import pytest
 from hgcl import objectives
 from hgcl.autodiff import Tape, backward, grad_check
 from hgcl.config import Hyperparams, RunConfig
-from hgcl.encoder import GateParams, build_graph_operators, encode
+from hgcl.encoder import build_graph_operators, encode
 from hgcl.graphs import build_hetero_graph
 from hgcl.meta import (MetaMLP, apply_transform, extract_meta_knowledge, fuse_final,
                        generate_transforms)
@@ -54,10 +54,9 @@ def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, trainab
 
 
 def encode_leaves(tape, leaves, ops, layers=2):
-    """The encoder's view embeddings of ``leaves``, gated where a side has its view."""
-    gates = (None if adj is None else GateParams(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"])
-             for side, adj in (("user", ops.uu), ("item", ops.ii)))
-    return encode(tape, leaves["user_emb"], leaves["item_emb"], *gates, ops, layers)
+    """The encoder's (view, auxiliary) pair of each side of ``leaves``."""
+    gates = [(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"]) for side in ("user", "item")]
+    return encode(tape, leaves["user_emb"], leaves["item_emb"], gates, ops, layers)
 
 
 def test_param_order_is_stable_and_complete():
@@ -125,8 +124,8 @@ def test_no_meta_zeroes_transfer_path():
     tape, leaves, cache = run_forward(params, ops, abl=Ablations(no_meta=True), batch=batch)
     assert cache.transforms[0] is None
     # final fusion falls back to view + bare auxiliary
-    views = encode_leaves(tape, leaves, ops)
-    manual = 0.8 * views.e_u.value + 0.2 * views.e_uu.value
+    (e_u, e_uu), _ = encode_leaves(tape, leaves, ops)
+    manual = 0.8 * e_u.value + 0.2 * e_uu.value
     np.testing.assert_allclose(cache.e_u_final.value, manual, atol=1e-15)
 
 
@@ -135,10 +134,10 @@ def test_no_uu_drops_user_auxiliary_entirely():
     ops = build_graph_operators(graph, np.float64, no_uu=True)
     batch = batch_for(6, 8, 16)
     tape, leaves, cache = run_forward(params, ops, abl=Ablations(no_uu=True), batch=batch)
-    views = encode_leaves(tape, leaves, ops)
-    assert views.e_uu is None
+    (e_u, e_uu), _ = encode_leaves(tape, leaves, ops)
+    assert e_uu is None
     assert cache.cl_user is None and cache.cl_item is not None
-    np.testing.assert_array_equal(cache.e_u_final.value, views.e_u.value[np.unique(batch[0])])
+    np.testing.assert_array_equal(cache.e_u_final.value, e_u.value[np.unique(batch[0])])
 
 
 def test_no_cl_loss_equals_bpr():
@@ -252,13 +251,12 @@ def reference_loss(tape, leaves, ops, cfg, batch):
     def mlp(prefix):
         return MetaMLP(*(leaves[f"{prefix}_{k}"] for k in ("w_in", "b_in", "slope", "w_out", "b_out")))
 
-    views = encode_leaves(tape, leaves, ops, hp.layers)
+    (e_u, e_uu), (e_i, e_ii) = encode_leaves(tape, leaves, ops, hp.layers)
     users, pos, neg = batch
     finals, contrastive = [], []
     for side, e_view, e_aux, incidence, e_other, alpha, cands in (
-            ("user", views.e_u, views.e_uu, ops.inc_ui, views.e_i, hp.alpha_user,
-             np.unique(users)),
-            ("item", views.e_i, views.e_ii, ops.inc_ui.T, views.e_u, hp.alpha_item,
+            ("user", e_u, e_uu, ops.inc_ui, e_i, hp.alpha_user, np.unique(users)),
+            ("item", e_i, e_ii, ops.inc_ui.T, e_u, hp.alpha_item,
              np.unique(np.concatenate([pos, neg])))):
         meta = extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other)
         tr = generate_transforms(tape, meta, mlp(f"{side}_mlp1"), mlp(f"{side}_mlp2"))
