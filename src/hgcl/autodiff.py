@@ -31,12 +31,10 @@ class DiffError(RuntimeError):
 class Tensor:
     """Array tracked on a tape (up to 3 axes; scalars are 0-d arrays)."""
 
-    __slots__ = ("value", "grad", "trainable", "name", "produced")
+    __slots__ = ("value", "name", "produced")
 
-    def __init__(self, value: np.ndarray, trainable: bool = False, name: str = ""):
+    def __init__(self, value: np.ndarray, name: str = ""):
         self.value = value
-        self.grad: np.ndarray | None = None
-        self.trainable = trainable
         self.name = name
         self.produced = False  # True iff created by a primitive
 
@@ -97,20 +95,16 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple] = []  # (op name, output, inputs, vjp)
-        self._tensors: list[Tensor] = []
         self._sealed = False
 
-    def leaf(self, value, trainable: bool = False, name: str = "") -> Tensor:
-        t = Tensor(np.asarray(value), trainable=trainable, name=name)
-        self._tensors.append(t)
-        return t
+    def leaf(self, value, name: str = "") -> Tensor:
+        return Tensor(np.asarray(value), name=name)
 
     def _emit(self, op: str, value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
         if self._sealed:
             raise DiffError("cannot record a primitive on a tape after backward")
         out = Tensor(value)
         out.produced = True
-        self._tensors.append(out)
         self._nodes.append((op, out, inputs, vjp))
         return out
 
@@ -347,50 +341,53 @@ class Tape:
         return self._emit("infonce_sum", np.asarray(rows.sum()), (anchors, targets), vjp)
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Fill ``grad`` on every trainable leaf reachable from ``loss``.
+def backward(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | None]:
+    """Gradients of ``loss`` with respect to the leaves in ``wrt``, in order;
+    None for a leaf that ``loss`` does not reach.
 
-    Gradients accumulate additively when a tensor feeds multiple nodes;
-    non-trainable leaves are left untouched. A tensor's first ``grad`` is the
-    array a VJP returned, which other tensors may share (``add`` returns ``g``
-    twice, ``concat_columns`` views of it), so no VJP nor caller such as
+    No gradient is stored on a tensor. Pending gradients live in a dict local
+    to this call, and each is dropped as soon as its node's VJP has consumed
+    it. Gradients add up when a tensor feeds several nodes; leaves outside
+    ``wrt`` get none. A tensor's first gradient is the array a VJP returned,
+    which other tensors may share (``add`` returns ``g`` twice,
+    ``concat_columns`` views of it), so no VJP nor caller such as
     ``adam_step`` may write to a gradient. Only ``backward`` writes, and only
     into the array it built for a tensor's second contribution.
 
-    Finiteness is checked once, on the trainable leaves; if one is non-finite
-    the pass is replayed checking every VJP output, so that the ``DiffError``
-    names the primitive. A non-finite value that reaches no trainable leaf is
-    not reported, and one made only by adding two finite parts is left for
-    ``adam_step`` to reject.
+    Finiteness is checked once, on the returned gradients; if one is
+    non-finite the pass is replayed checking every VJP output, so that the
+    ``DiffError`` names the primitive. A non-finite value that reaches no leaf
+    of ``wrt`` is not reported, and one made only by adding two finite parts
+    is left for ``adam_step`` to reject.
     """
     if loss.value.shape != ():
         raise DiffError(f"loss must be scalar, got shape {loss.value.shape}")
+    if any(t.produced for t in wrt):
+        raise DiffError("backward returns gradients of leaves only")
     tape._sealed = True
+    leaves = set(wrt)
     for checked in (False, True):
-        for t in tape._tensors:
-            t.grad = None
-        loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
+        pending = {loss: np.asarray(1.0, dtype=loss.value.dtype)}
         owned: set[Tensor] = set()
         for op, out, inputs, vjp in reversed(tape._nodes):
-            og = out.grad
+            og = pending.pop(out, None)
             if og is None:
                 continue
-            grads = vjp(og)
-            for t, g in zip(inputs, grads):
-                if not t.produced and not t.trainable:
+            for t, g in zip(inputs, vjp(og)):
+                if not t.produced and t not in leaves:
                     continue
                 if checked and not np.isfinite(g).all():
                     raise DiffError(f"non-finite gradient produced by primitive '{op}'")
-                if t.grad is None:
-                    t.grad = g
+                if t not in pending:
+                    pending[t] = g
                 elif t in owned:
-                    t.grad += g
+                    pending[t] += g
                 else:
-                    t.grad = t.grad + g
+                    pending[t] = pending[t] + g
                     owned.add(t)
-        if all(np.isfinite(t.grad).all() for t in tape._tensors
-               if t.trainable and t.grad is not None):
-            return
+        grads = [pending.get(t) for t in wrt]
+        if checked or all(g is None or np.isfinite(g).all() for g in grads):
+            return grads
 
 
 def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
@@ -410,18 +407,17 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
 
     def run(value_map, with_grads):
         tape = Tape()
-        tensors = {k: tape.leaf(v, trainable=with_grads, name=k) for k, v in value_map.items()}
+        tensors = {k: tape.leaf(v, name=k) for k, v in value_map.items()}
         loss = builder(tape, tensors)
         if loss.value.shape != ():
             raise DiffError("grad_check requires a scalar loss")
         signs = tuple((inputs[0].value > 0).tobytes()
                       for op, _, inputs, _ in tape._nodes if op == "prelu")
         if with_grads:
-            backward(tape, loss)
-            return tensors, signs
+            return dict(zip(tensors, backward(tape, loss, list(tensors.values())))), signs
         return float(loss.value), signs
 
-    tensors, _ = run(arrays, True)
+    grads, _ = run(arrays, True)
     keys = sorted(arrays)
     sizes = np.array([arrays[k].size for k in keys])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -432,10 +428,8 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
     else:
         coords = np.arange(total)
 
-    analytic = {}
-    for k in keys:
-        grad = tensors[k].grad
-        analytic[k] = np.zeros(arrays[k].size) if grad is None else grad.ravel()
+    analytic = {k: np.zeros(arrays[k].size) if grads[k] is None else grads[k].ravel()
+                for k in keys}
 
     max_rel = 0.0
     for gc in coords:

@@ -34,11 +34,6 @@ class InteractionDataset:
     user_groups: list[np.ndarray]
     train_counts: np.ndarray = field(repr=False)  # (m,) per-user train degree
 
-    def train_matrix(self) -> sp.csr_matrix:
-        data = np.ones(len(self.train_edges), dtype=np.int8)
-        return sp.csr_matrix((data, (self.train_edges[:, 0], self.train_edges[:, 1])),
-                             shape=(self.m, self.n))
-
 
 def activity_groups(train_counts: np.ndarray, n_groups: int = N_ACTIVITY_GROUPS) -> list[np.ndarray]:
     """Partition users into equal-count buckets ordered by train degree.
@@ -112,11 +107,10 @@ class BprSampler:
     def __init__(self, dataset: InteractionDataset, seed: int | np.random.SeedSequence = 0):
         self.dataset = dataset
         self.rng = np.random.default_rng(seed)
-        self._train = dataset.train_matrix().astype(bool)
-        degrees = np.asarray(self._train.sum(axis=1)).ravel()
-        self._saturated = degrees >= dataset.n
-        edge_users = dataset.train_edges[:, 0]
-        self._ok_edges = np.flatnonzero(~self._saturated[edge_users])
+        edges = dataset.train_edges
+        self._train = sp.csr_matrix((np.ones(len(edges), dtype=bool), (edges[:, 0], edges[:, 1])),
+                                    shape=(dataset.m, dataset.n))
+        self._ok_edges = np.flatnonzero(dataset.train_counts[edges[:, 0]] < dataset.n)
         if len(self._ok_edges) == 0:
             raise ValueError("every user has interacted with every item; cannot sample negatives")
 

@@ -1,11 +1,13 @@
 """Synthetic dataset generator with planted preference structure.
 
 Users belong to coarse preference clusters; items carry fine categories nested
-inside those clusters. Interactions concentrate on a few favorite categories
-per user, social edges prefer same-cluster users with per-user strength
-centered on the requested homophily, and the emitted category file exposes the
-fine item structure. Output follows the external edge-file format, so a
-generated directory is a regular dataset.
+inside those clusters. Each of a user's distinct interactions is, with
+probability ``INTRA_AFFINITY``, a uniform item of a uniform category of the
+user's cluster, and otherwise a uniform item of the whole catalogue, so there
+is no per-user preference below the cluster. Social edges prefer same-cluster
+users with per-user strength centered on the requested homophily, and the
+emitted category file exposes the fine item structure. Output follows the
+external edge-file format, so a generated directory is a regular dataset.
 """
 from __future__ import annotations
 

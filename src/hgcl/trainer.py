@@ -140,13 +140,6 @@ class TrainResult:
     stopped_early: bool
 
 
-def _epoch_record(epoch: int, totals: dict[str, float], n_batches: int) -> dict:
-    rec = {"epoch": epoch}
-    for key, value in totals.items():
-        rec[key] = value / max(n_batches, 1)
-    return rec
-
-
 def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
     """Run the full optimization and return the checkpoint plus final metrics."""
     cfg.validate()
@@ -187,13 +180,11 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
         for _ in range(n_batches):
             batch = sampler.next_batch(hp.batch_size)
             tape = Tape()
-            leaves = {k: tape.leaf(v, trainable=k in opt_params, name=k)
-                      for k, v in params.items()}
+            leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
             try:
                 cache = forward_model(tape, leaves, ops, cfg, batch=batch)
-                backward(tape, cache.loss)
-                grads = {k: leaves[k].grad for k in opt_params}
-                adam_step(opt_params, grads, state, hp.learning_rate)
+                grads = backward(tape, cache.loss, [leaves[k] for k in opt_params])
+                adam_step(opt_params, dict(zip(opt_params, grads)), state, hp.learning_rate)
             except (FloatingPointError, DiffError) as exc:
                 if write_outputs:
                     save_checkpoint(make_checkpoint(last_good), cfg.checkpoint)
@@ -204,7 +195,7 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             totals["cl_user"] += float(cache.cl_user.value) if cache.cl_user is not None else 0.0
             totals["cl_item"] += float(cache.cl_item.value) if cache.cl_item is not None else 0.0
         epoch_seconds.append(time.perf_counter() - started)
-        record = _epoch_record(epoch, totals, n_batches)
+        record = {"epoch": epoch, **{k: v / n_batches for k, v in totals.items()}}
 
         if not np.isfinite(record["loss"]):
             if write_outputs:

@@ -1,4 +1,6 @@
 """Parameter bookkeeping, the assembled forward pass, and ablation wiring."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -46,9 +48,9 @@ def model_cfg(dim=4, rank=2, abl=Ablations(), loss_cfg=None) -> RunConfig:
     return RunConfig(hyper=hyper, loss=loss_cfg or LossConfig(), ablations=abl)
 
 
-def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, trainable=()):
+def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None):
     tape = Tape()
-    leaves = {k: tape.leaf(v, trainable=k in trainable, name=k) for k, v in params.items()}
+    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
     cache = forward_model(tape, leaves, ops, model_cfg(abl=abl, loss_cfg=loss_cfg), batch=batch)
     return tape, leaves, cache
 
@@ -165,13 +167,13 @@ def test_gradients_flow_to_every_trainable_parameter():
     graph, params, ops = tiny_setup()
     batch = batch_for(6, 8, 48, seed=5)
     keys = trainable_keys(params, Ablations())
-    tape, leaves, cache = run_forward(params, ops, batch=batch, trainable=keys)
-    backward(tape, cache.loss)
-    for k in keys:
-        assert leaves[k].grad is not None, k
-        assert np.isfinite(leaves[k].grad).all(), k
+    tape, leaves, cache = run_forward(params, ops, batch=batch)
+    grads = backward(tape, cache.loss, [leaves[k] for k in keys])
+    for k, g in zip(keys, grads):
+        assert g is not None, k
+        assert np.isfinite(g).all(), k
         # every parameter should actually influence the loss on this instance
-        assert np.abs(leaves[k].grad).max() > 0, k
+        assert np.abs(g).max() > 0, k
 
 
 def test_compute_final_embeddings_deterministic():
@@ -199,20 +201,65 @@ def test_float32_mode_runs_and_keeps_dtype():
     graph, params, ops = tiny_setup(dtype=np.float32)
     batch = batch_for(6, 8, 16)
     keys = trainable_keys(params, Ablations())
-    tape, leaves, cache = run_forward(params, ops, batch=batch, trainable=keys)
+    tape, leaves, cache = run_forward(params, ops, batch=batch)
     assert cache.e_u_final.value.dtype == np.float32
-    backward(tape, cache.loss)
-    assert leaves["user_emb"].grad.dtype == np.float32
+    grads = dict(zip(keys, backward(tape, cache.loss, [leaves[k] for k in keys])))
+    assert grads["user_emb"].dtype == np.float32
+
+
+def wrap_vjps(tape, wrapper):
+    """Replace each recorded node's VJP by ``wrapper(op, vjp)``."""
+    tape._nodes = [(op, out, inputs, wrapper(op, vjp)) for op, out, inputs, vjp in tape._nodes]
 
 
 def test_float32_training_step_keeps_every_gradient_float32():
+    # Every upstream gradient a VJP receives, sums of contributions included,
+    # and every array it returns stays float32.
     graph, params, ops = tiny_setup(dtype=np.float32)
     keys = trainable_keys(params, Ablations())
-    tape, _, cache = run_forward(params, ops, batch=batch_for(6, 8, 16), trainable=keys)
-    backward(tape, cache.loss)
-    wrong = sorted({f"{t!r} {t.grad.dtype}" for t in tape._tensors
-                    if t.grad is not None and t.grad.dtype != np.float32})
-    assert not wrong
+    tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16))
+    wrong, calls = set(), []
+
+    def checked(op, vjp):
+        def run(g):
+            calls.append(op)
+            grads = vjp(g)
+            wrong.update(f"{op} {a.dtype}" for a in (g, *grads) if a.dtype != np.float32)
+            return grads
+        return run
+
+    wrap_vjps(tape, checked)
+    grads = backward(tape, cache.loss, [leaves[k] for k in keys])
+    assert len(calls) == len(tape._nodes)
+    assert wrong == set()
+    assert all(g.dtype == np.float32 for g in grads)
+
+
+def test_backward_keeps_no_intermediate_gradient():
+    # Each pending gradient is dropped once its node's VJP has run: after
+    # backward returns, an upstream gradient array is alive only as a
+    # returned gradient or as the base of one. (Numpy scalars, which some
+    # scalar nodes receive, cannot be weakly referenced and are skipped.)
+    graph, params, ops = tiny_setup()
+    keys = trainable_keys(params, Ablations())
+    tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16))
+    calls, received = [], []
+
+    def watched(op, vjp):
+        def run(g):
+            calls.append(op)
+            if isinstance(g, np.ndarray):
+                received.append((op, weakref.ref(g)))
+            return vjp(g)
+        return run
+
+    wrap_vjps(tape, watched)
+    grads = backward(tape, cache.loss, [leaves[k] for k in keys])
+    assert len(calls) == len(tape._nodes)
+    assert len(received) >= sum(out.value.ndim > 0 for _, out, _, _ in tape._nodes)
+    returned = {id(a) for g in grads for a in (g, g.base) if a is not None}
+    kept = [op for op, ref in received if ref() is not None and id(ref()) not in returned]
+    assert kept == []
 
 
 # Users {0, 1, 3} and items {0, 1, 2, 4, 5}: a strict subset of each side at
@@ -274,17 +321,15 @@ def test_batch_rows_only_training_matches_the_all_rows_reference():
     graph, params, ops = tiny_setup()
     cfg = model_cfg(loss_cfg=LossConfig(cl_negatives="batch"))
     keys = trainable_keys(params, cfg.ablations)
-    tape, leaves, cache = run_forward(params, ops, batch=SUBSET_BATCH,
-                                      loss_cfg=cfg.loss, trainable=keys)
-    backward(tape, cache.loss)
+    tape, leaves, cache = run_forward(params, ops, batch=SUBSET_BATCH, loss_cfg=cfg.loss)
+    grads = backward(tape, cache.loss, [leaves[k] for k in keys])
     ref_tape = Tape()
-    ref_leaves = {k: ref_tape.leaf(v, trainable=k in keys, name=k) for k, v in params.items()}
+    ref_leaves = {k: ref_tape.leaf(v, name=k) for k, v in params.items()}
     ref = reference_loss(ref_tape, ref_leaves, ops, cfg, SUBSET_BATCH)
-    backward(ref_tape, ref)
+    ref_grads = backward(ref_tape, ref, [ref_leaves[k] for k in keys])
     np.testing.assert_allclose(cache.loss.value, ref.value, rtol=1e-12, atol=0)
-    for k in keys:
-        want = ref_leaves[k].grad
-        np.testing.assert_allclose(leaves[k].grad, want, rtol=1e-12,
+    for k, got, want in zip(keys, grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max(), err_msg=k)
 
 
@@ -315,8 +360,7 @@ def test_training_tape_records_no_dead_node(negatives, ablation):
     abl = Ablations.from_names([ablation] if ablation else [])
     ops = build_graph_operators(graph, np.float64, no_uu=abl.no_uu, no_ii=abl.no_ii)
     tape, _, cache = run_forward(params, ops, abl=abl, batch=SUBSET_BATCH,
-                                 loss_cfg=LossConfig(cl_negatives=negatives),
-                                 trainable=trainable_keys(params, abl))
+                                 loss_cfg=LossConfig(cl_negatives=negatives))
     read = {id(t) for _, _, inputs, _ in tape._nodes for t in inputs}
     dead = [op for op, out, _, _ in tape._nodes if id(out) not in read and out is not cache.loss]
     assert dead == []
@@ -383,3 +427,31 @@ def test_benchmark_tracer_binds_the_setup_names(small_manifest, tmp_path, monkey
     assert {"graphs.load_dataset", "graphs.build_hetero_graph", "dataset.split"} <= {
         span for (_, span) in spy.calls}
     assert spy.counts[(False, "graphs.edges")] == bundle.graph.total_edges
+
+
+def test_benchmark_tracer_binds_the_step_names(small_manifest, tmp_path, monkeypatch):
+    # bench/tracer.py times each training step by replacing
+    # BprSampler.next_batch and the hgcl.trainer globals forward_model,
+    # backward and adam_step. train() must call each through that name once
+    # per step, or the step spans stop tiling the epoch.
+    from pathlib import Path
+
+    import hgcl.trainer
+
+    from conftest import small_config
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+
+    cfg = small_config(small_manifest, tmp_path, epochs=1)
+    edges = len(hgcl.trainer.load_bundle(cfg).dataset.train_edges)
+    steps = -(-edges // cfg.hyper.batch_size)
+    assert steps >= 2
+    spy = tracer.Tracer()
+    with spy.installed():
+        hgcl.trainer.train(cfg)
+    assert tracer.STEP_SPANS == ("dataset.next_batch", "model.forward_model",
+                                 "autodiff.backward", "optim.adam_step")
+    assert {span: spy.calls[(True, span)] for span in tracer.STEP_SPANS} == dict.fromkeys(
+        tracer.STEP_SPANS, steps)
+    assert spy.epochs == 1

@@ -310,16 +310,16 @@ def test_adam_rejects_gradient_that_overflows_in_backward():
     # The loss and each gradient contribution are finite, so backward passes
     # them; their sum in the leaf's gradient is inf.
     tape = Tape()
-    x = tape.leaf(np.array([0.5]), trainable=True)
+    x = tape.leaf(np.array([0.5]))
     loss = tape.sum_all(tape.add(tape.scale(x, 1e308), tape.scale(x, 1e308)))
     assert np.isfinite(loss.value)
     with np.errstate(over="ignore"):
-        backward(tape, loss)
-    assert np.isinf(x.grad).all()
+        [dx] = backward(tape, loss, [x])
+    assert np.isinf(dx).all()
     params = {"x": x.value.copy()}
     state = AdamState()
     with pytest.raises(FloatingPointError, match="non-finite"):
-        adam_step(params, {"x": x.grad}, state, 0.01)
+        adam_step(params, {"x": dx}, state, 0.01)
     np.testing.assert_array_equal(params["x"], [0.5])
     assert state.step == 0
 

@@ -127,9 +127,9 @@ def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkey
     import hgcl.trainer as train_mod
     real, steps = train_mod.backward, []
 
-    def recording(tape, loss):
+    def recording(tape, loss, wrt):
         steps.append(Counter(op for op, *_ in tape._nodes))
-        return real(tape, loss)
+        return real(tape, loss, wrt)
 
     monkeypatch.setattr(train_mod, "backward", recording)
     train(small_config(small_manifest, tmp_path, epochs=1), write_outputs=False)
