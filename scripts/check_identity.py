@@ -23,14 +23,23 @@ directory with the same config,
 and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
 for byte. The same directory matters: a checkpoint embeds its config, whose
 paths are resolved to absolute ones. After the f64, full, unablated training
-each side also runs ``export-transforms`` for user 17 and item 17 and
-``grad-check`` on that config, whose stdout is compared.
+each side also runs ``export-transforms`` for user 17 and item 17. After it
+and after the f64, full trainings with ``meta`` and with ``uu`` ablated, each
+side runs ``grad-check`` on that training's config (``grad-check`` has no
+``--ablate`` flag, so an ablated run's config gets ``ablate = ...`` in
+``[train]``), and the three stdouts are compared.
 
-Prints one line per training, one per transform CSV and one for grad-check,
+Prints one line per training, one per transform CSV and one per grad-check,
 and exits 1 if any output differs. When a training's ``epochs.jsonl`` differs,
 a further line gives the worst relative difference ``|a - b| / max(|a|, |b|)``
 over its epochs for each numeric field, so that a change which gives up
 bit-identity on purpose can state its drift.
+
+Such a change must state its own drift bound for the two extreme-temperature
+trainings (f32 at t=0.01, f64 at t=0.002): they amplify rounding far past the
+usual tolerances (1e-12 at f64, 1e-3 at f32). Reversing only the order of
+``infonce_sum``'s row sum drifted ``cl_item`` by 2.6e-2 and ``hr`` by 5.4e-3
+at f32 t=0.01, and ``cl_item`` by 1.8e-8 at f64 t=0.002, over the 10 epochs.
 """
 import argparse
 import io
@@ -56,6 +65,8 @@ RUNS += [("f32", "full", None, 0.01, SYNTHETIC, 2), ("f64", "full", None, 0.002,
 RUNS += [("f64", "full", None, None, SYNTHETIC, layers) for layers in (1, 3)]
 RUNS += [(precision, negatives, None, None, manifest, 2) for manifest in DERIVED
          for precision, negatives in (("f64", "full"), ("f32", "batch"))]
+# The trainings after which grad-check runs on the same config.
+GRAD_CHECKED = [("f64", "full", ablation, None, SYNTHETIC, 2) for ablation in (None, "meta", "uu")]
 CONFIG = """[data]
 manifest = {manifest}
 checkpoint = out/model.ckpt
@@ -162,7 +173,11 @@ def run_side(tree: Path, work: Path, keep: Path, run) -> None:
         for side in ("user", "item"):
             hgcl(tree, work, "export-transforms", "--checkpoint", "out/model.ckpt",
                  "--node", "17", "--side", side, "--out", str(keep / f"{side}17.csv"))
-        (keep / "grad-check.txt").write_bytes(hgcl(tree, work, "grad-check", "--config", "run.cfg"))
+    if run in GRAD_CHECKED:
+        config = work / "grad-check.cfg"
+        config.write_text((work / "run.cfg").read_text(encoding="utf-8")
+                          + (f"ablate = {ablation}\n" if ablation else ""), encoding="utf-8")
+        (keep / "grad-check.txt").write_bytes(hgcl(tree, work, "grad-check", "--config", config.name))
 
 
 def main() -> int:
@@ -195,7 +210,8 @@ def main() -> int:
             if run == RUNS[0]:
                 groups += [(f"export-transforms --side {side}", (f"{side}17.csv",))
                            for side in ("user", "item")]
-                groups.append(("grad-check stdout", ("grad-check.txt",)))
+            if run in GRAD_CHECKED:
+                groups.append((f"grad-check stdout, ablate = {run[2] or '-'}", ("grad-check.txt",)))
             for label, names in groups:
                 bad = [n for n in names if (base / n).read_bytes() != (change / n).read_bytes()]
                 failed += bool(bad)

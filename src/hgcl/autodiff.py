@@ -100,6 +100,10 @@ class Tape:
     def leaf(self, value, name: str = "") -> Tensor:
         return Tensor(np.asarray(value), name=name)
 
+    def inputs(self) -> set[Tensor]:
+        """Every tensor that a recorded node has taken as an input."""
+        return {t for _, _, inputs, _ in self._nodes for t in inputs}
+
     def _emit(self, op: str, value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
         if self._sealed:
             raise DiffError("cannot record a primitive on a tape after backward")

@@ -76,8 +76,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path):
         self.data = data
+        self.path = path
         self.pos = 0
 
     def take(self, count: int) -> bytes:
@@ -90,16 +91,22 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, count: int, what: str) -> str:
+        try:
+            return self.take(count).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({exc})") from None
+
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    reader = _Reader(Path(path).read_bytes())
+    reader = _Reader(Path(path).read_bytes(), path)
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version, m, n, dim, rank, layers = reader.unpack("<6I")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (cfg_len,) = reader.unpack("<Q")
-    config_text = reader.take(cfg_len).decode("utf-8")
+    config_text = reader.text(cfg_len, "the config snapshot")
     ids = []
     for _ in range(2):
         (count,) = reader.unpack("<Q")
@@ -108,7 +115,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len, "a parameter name")
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}Q") if ndim else ()
         count = int(np.prod(shape)) if ndim else 1

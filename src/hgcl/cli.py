@@ -8,11 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import grad_check
+from .autodiff import Tape, grad_check
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import config_from_text, parse_config, with_ablations, with_seed
 from .dataset import BprSampler
-from .model import forward_model, init_params, trainable_keys, transform_matrix_for_node
+from .model import forward_model, init_params, transform_matrix_for_node
 from .meta import write_transform_csv
 from .synthetic import generate_synthetic
 from .trainer import evaluate, load_bundle, run_seeds, train, write_metrics
@@ -148,7 +148,12 @@ def _cmd_grad_check(args) -> int:
     params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, seeds.init)
     sampler = BprSampler(bundle.dataset, seed=seeds.sampler)
     batch = sampler.next_batch(min(args.batch, hp.batch_size))
-    keys = trainable_keys(params, cfg.ablations)
+    # Check the parameters a step reads; the others stay frozen leaves.
+    probe = Tape()
+    leaves = {k: probe.leaf(v, name=k) for k, v in params.items()}
+    forward_model(probe, leaves, bundle.ops, cfg, batch=batch)
+    read = probe.inputs()
+    keys = [k for k, t in leaves.items() if t in read]
     frozen = {k: v for k, v in params.items() if k not in keys}
 
     def builder(tape, tensors):

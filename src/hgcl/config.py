@@ -67,6 +67,8 @@ class Hyperparams:
             raise ValueError("learning_rate must be finite and > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

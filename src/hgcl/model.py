@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import SparseMatrix, Tape, Tensor
-from .config import Ablations, RunConfig
+from .config import RunConfig
 from .encoder import GraphOperators, encode
 from .meta import (MetaMLP, PersonalTransforms, apply_transform,
                    extract_meta_knowledge, fuse_final, generate_transforms)
@@ -14,20 +14,13 @@ from .objectives import bpr_loss, infonce_loss, total_loss
 
 PRELU_INIT = 0.25
 
-# The two sides in their fixed order: the parameter-key prefix and the side's
-# auxiliary graph, which names its ``GraphOperators`` field and, as
-# ``no_<graph>``, its ``Ablations`` flag.
-SIDES = (("user", "uu"), ("item", "ii"))
+# The two sides in their fixed order, as parameter-key prefixes.
+SIDES = ("user", "item")
 
 
 def _xavier(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def _mlp_keys(prefix: str) -> list[str]:
-    return [f"{prefix}_w_in", f"{prefix}_b_in", f"{prefix}_slope",
-            f"{prefix}_w_out", f"{prefix}_b_out"]
 
 
 def param_order(dim: int, rank: int, m: int, n: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -39,13 +32,13 @@ def param_order(dim: int, rank: int, m: int, n: int) -> list[tuple[str, tuple[in
         ("item_gate_w", (dim, dim)), ("item_gate_b", (dim,)),
     ]
     rows = dim * rank  # one flat (d, k) or (k, d) factor per node
-    for side, _ in SIDES:
+    for side in SIDES:
         for idx in (1, 2):
             prefix = f"{side}_mlp{idx}"
             order += [(f"{prefix}_w_in", (3 * dim, h)), (f"{prefix}_b_in", (h,)),
                       (f"{prefix}_slope", ()),
                       (f"{prefix}_w_out", (h, rows)), (f"{prefix}_b_out", (rows,))]
-    order += [(f"{side}_transfer_slope", ()) for side, _ in SIDES]
+    order += [(f"{side}_transfer_slope", ()) for side in SIDES]
     return order
 
 
@@ -60,24 +53,6 @@ def init_params(m: int, n: int, dim: int, rank: int, seed, dtype=np.float64) -> 
         else:
             params[name] = _xavier(rng, shape, dtype)
     return params
-
-
-def trainable_keys(params: dict[str, np.ndarray], abl: Ablations) -> list[str]:
-    dropped: set[str] = set()
-    for side, aux in SIDES:
-        no_aux = getattr(abl, f"no_{aux}")
-        if abl.no_meta or no_aux:
-            dropped.update(_mlp_keys(f"{side}_mlp1") + _mlp_keys(f"{side}_mlp2")
-                           + [f"{side}_transfer_slope"])
-        if no_aux:
-            dropped.update([f"{side}_gate_w", f"{side}_gate_b"])
-    return [k for k in params if k not in dropped]
-
-
-def regularized_keys(params: dict[str, np.ndarray], abl: Ablations) -> list[str]:
-    """L2-penalized subset: embeddings, gates, and MLP weights; slopes excluded."""
-    keep = trainable_keys(params, abl)
-    return [k for k in keep if not k.endswith("slope")]
 
 
 @dataclass
@@ -120,11 +95,14 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
 
     Transfer and fusion are row-local, so with a batch a side whose contrastive
     pool is not ``full`` runs them only on the rows its loss terms read; the
-    other rows would get a zero gradient.
+    other rows would get a zero gradient. The L2 term takes, in ``leaves``
+    order, every leaf the forward has read other than the PReLU slopes: an
+    ablated component's parameters are not read, so they get neither the
+    penalty nor a gradient.
     """
-    hp, abl = cfg.hyper, cfg.ablations
+    hp = cfg.hyper
     encoded = encode(tape, leaves["user_emb"], leaves["item_emb"],
-                     [(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"]) for side, _ in SIDES],
+                     [(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"]) for side in SIDES],
                      ops, hp.layers)
     pools = cl_negative_pools(ops, cfg)
     rows = (None, None)
@@ -136,14 +114,14 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
     # Per side: the view, auxiliary and transferred auxiliary embeddings at its
     # rows (every node when None), and its transforms.
     streams, transforms = [], []
-    for (side, _), side_rows, (e_view, e_aux), (e_other, _), incidence in zip(
+    for side, side_rows, (e_view, e_aux), (e_other, _), incidence in zip(
             SIDES, rows, encoded, encoded[::-1], (ops.inc_ui, ops.inc_ui.T)):
         if side_rows is not None:
             e_view = tape.gather_rows(e_view, side_rows)
             e_aux = None if e_aux is None else tape.gather_rows(e_aux, side_rows)
             incidence = SparseMatrix(incidence.mat[side_rows])
         tr = e_aux_m = None
-        if e_aux is not None and not abl.no_meta:
+        if e_aux is not None and not cfg.ablations.no_meta:
             knowledge = extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other)
             tr = generate_transforms(tape, knowledge, _mlp(leaves, f"{side}_mlp1"),
                                      _mlp(leaves, f"{side}_mlp2"))
@@ -163,7 +141,8 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
 
     local = tuple(idx if side_rows is None else np.searchsorted(side_rows, idx)
                   for side_rows, idx in zip((rows[0], rows[1], rows[1]), batch))
-    reg = [leaves[k] for k in regularized_keys(leaves, abl)]
+    read = tape.inputs()
+    reg = [t for k, t in leaves.items() if t in read and not k.endswith("slope")]
     cache.bpr = bpr_loss(tape, e_u_final, e_i_final, local, reg, cfg.loss.l2_weight)
 
     # A side's rows are already its contrastive pool unless that pool is full.
@@ -177,31 +156,28 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
     return cache
 
 
+def _forward_all_rows(params: dict[str, np.ndarray], ops: GraphOperators,
+                      cfg: RunConfig) -> ForwardCache:
+    tape = Tape()
+    return forward_model(tape, {k: tape.leaf(v, name=k) for k, v in params.items()}, ops, cfg)
+
+
 def compute_final_embeddings(params: dict[str, np.ndarray], ops: GraphOperators,
                              cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run the forward pass without a batch and read off the fused embeddings."""
-    tape = Tape()
-    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    cache = forward_model(tape, leaves, ops, cfg)
+    cache = _forward_all_rows(params, ops, cfg)
     return cache.e_u_final.value, cache.e_i_final.value
 
 
 def transform_matrix_for_node(params: dict[str, np.ndarray], ops: GraphOperators,
                               cfg: RunConfig, node: int, side: str) -> np.ndarray:
     """Materialized d x d personalized transform of one node."""
-    abl, hp = cfg.ablations, cfg.hyper
-    names = [name for name, _ in SIDES]
-    if side not in names:
+    if side not in SIDES:
         raise ValueError("side must be 'user' or 'item'")
-    index = names.index(side)
-    aux = SIDES[index][1]
-    if abl.no_meta:
-        raise ValueError("model was trained without the meta network")
-    if getattr(abl, f"no_{aux}"):
-        raise ValueError(f"model was trained without the {side}-{side} view")
-    if not 0 <= node < getattr(ops, aux).shape[0]:
+    tr = _forward_all_rows(params, ops, cfg).transforms[SIDES.index(side)]
+    if tr is None:
+        raise ValueError(f"model was trained without the meta network or the {side}-{side} view")
+    if not 0 <= node < tr.w1.shape[0]:
         raise ValueError(f"unknown {side} index {node}")
-    tape = Tape()
-    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    tr = forward_model(tape, leaves, ops, cfg).transforms[index]
+    hp = cfg.hyper
     return tr.w1.value[node].reshape(hp.dim, hp.rank) @ tr.w2.value[node].reshape(hp.rank, hp.dim)

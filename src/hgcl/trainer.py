@@ -16,8 +16,7 @@ from .config import RunConfig, serialize_config
 from .dataset import BprSampler, InteractionDataset, split_leave_one_out
 from .encoder import GraphOperators, build_graph_operators
 from .graphs import HeteroGraph, LoadedData, build_hetero_graph, load_dataset
-from .model import (cl_negative_pools, compute_final_embeddings, forward_model,
-                    init_params, trainable_keys)
+from .model import cl_negative_pools, compute_final_embeddings, forward_model, init_params
 from .optim import AdamState, adam_step
 
 log = logging.getLogger(__name__)
@@ -122,8 +121,10 @@ class RunBundle:
 
 
 def load_bundle(cfg: RunConfig, manifest: str | None = None) -> RunBundle:
-    data = load_dataset(manifest or cfg.manifest, item_peer_cap=cfg.item_peer_cap,
-                        seed=cfg.hyper.seed)
+    manifest = manifest or cfg.manifest
+    if not manifest:
+        raise ValueError("no dataset manifest: the config sets no [data] manifest")
+    data = load_dataset(manifest, item_peer_cap=cfg.item_peer_cap, seed=cfg.hyper.seed)
     graph = build_hetero_graph(data.ui_edges, data.uu_edges, data.ii_edges, data.m, data.n)
     dataset = split_leave_one_out(data.ui_edges, data.m, data.n,
                                   seed=run_seeds(cfg.hyper.seed).split)
@@ -150,8 +151,6 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
 
     seeds = run_seeds(hp.seed)
     params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, seeds.init, cfg.dtype)
-    train_keys = trainable_keys(params, abl)
-    opt_params = {k: params[k] for k in train_keys}
     state = AdamState()
     sampler = BprSampler(dataset, seed=seeds.sampler)
 
@@ -183,8 +182,10 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
             try:
                 cache = forward_model(tape, leaves, ops, cfg, batch=batch)
-                grads = backward(tape, cache.loss, [leaves[k] for k in opt_params])
-                adam_step(opt_params, dict(zip(opt_params, grads)), state, hp.learning_rate)
+                # A parameter the forward did not read (an ablated component's)
+                # gets None, which adam_step leaves unchanged.
+                grads = backward(tape, cache.loss, list(leaves.values()))
+                adam_step(params, dict(zip(params, grads)), state, hp.learning_rate)
             except (FloatingPointError, DiffError) as exc:
                 if write_outputs:
                     save_checkpoint(make_checkpoint(last_good), cfg.checkpoint)

@@ -153,6 +153,35 @@ def test_seed_override_changes_checkpoint(pipeline, tmp_path):
     assert config_from_text(ckpt.config_text).hyper.seed == 123
 
 
+def test_negative_seed_override_is_named(pipeline, tmp_path, caplog):
+    root, _ = pipeline
+    cfg_path = write_config(tmp_path, root / "data" / "manifest.txt", epochs=1)
+    assert cli_main(["train", "--config", str(cfg_path), "--seed", "-2"]) == 2
+    assert "seed must be >= 0, got -2" in caplog.text
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+def test_config_without_a_manifest_is_named(pipeline, tmp_path, caplog):
+    root, _ = pipeline
+    cfg_path = write_config(tmp_path, root / "data" / "manifest.txt", epochs=1)
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace(f"manifest = {root / 'data' / 'manifest.txt'}\n", ""),
+                        encoding="utf-8")
+    assert cli_main(["train", "--config", str(cfg_path)]) == 2
+    assert "[data] manifest" in caplog.text
+
+
+def test_eval_names_a_checkpoint_whose_config_is_not_utf8(pipeline, tmp_path, caplog):
+    root, _ = pipeline
+    data = bytearray((root / "out" / "model.ckpt").read_bytes())
+    data[4 + 24 + 8 + 3] = 0xFF  # the 4th byte of the config snapshot
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    assert cli_main(["eval", "--checkpoint", str(bad),
+                     "--data", str(root / "data" / "manifest.txt")]) == 2
+    assert f"{bad}: the config snapshot is not UTF-8" in caplog.text
+
+
 def test_unknown_flag_is_usage_error():
     assert cli_main(["train", "--bogus", "x"]) == 1
 
@@ -197,9 +226,37 @@ def test_train_rejects_a_non_finite_float_before_training(pipeline, tmp_path, ca
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
-def test_grad_check_command(pipeline, tmp_path):
+GATES_AND_EMBEDDINGS = ["user_emb", "item_emb", "user_gate_w", "user_gate_b",
+                        "item_gate_w", "item_gate_b"]
+ITEM_META = ["item_mlp1_w_in", "item_mlp1_b_in", "item_mlp1_slope", "item_mlp1_w_out",
+             "item_mlp1_b_out", "item_mlp2_w_in", "item_mlp2_b_in", "item_mlp2_slope",
+             "item_mlp2_w_out", "item_mlp2_b_out", "item_transfer_slope"]
+USER_META = ["user_mlp1_w_in", "user_mlp1_b_in", "user_mlp1_slope", "user_mlp1_w_out",
+             "user_mlp1_b_out", "user_mlp2_w_in", "user_mlp2_b_in", "user_mlp2_slope",
+             "user_mlp2_w_out", "user_mlp2_b_out", "user_transfer_slope"]
+
+
+@pytest.mark.parametrize("ablate, checked", [
+    (None, GATES_AND_EMBEDDINGS + USER_META + ITEM_META),
+    ("meta", GATES_AND_EMBEDDINGS),
+    ("uu", ["user_emb", "item_emb", "item_gate_w", "item_gate_b"] + ITEM_META),
+], ids=["none", "meta", "uu"])
+def test_grad_check_command(pipeline, tmp_path, monkeypatch, ablate, checked):
+    # grad-check probes exactly the parameters a training step reads.
+    import hgcl.cli
+    real, seen = hgcl.cli.grad_check, []
+
+    def spy(builder, inputs, **kwargs):
+        seen.append(sorted(inputs))
+        return real(builder, inputs, **kwargs)
+
+    monkeypatch.setattr(hgcl.cli, "grad_check", spy)
     root, _ = pipeline
     cfg_path = write_config(tmp_path, root / "data" / "manifest.txt", dim=6, rank=2)
+    if ablate:
+        with cfg_path.open("a", encoding="utf-8") as fh:
+            fh.write(f"ablate = {ablate}\n")
     code = cli_main(["grad-check", "--config", str(cfg_path),
                      "--max-coords", "40", "--batch", "32"])
     assert code == 0
+    assert seen == [sorted(checked)]

@@ -3,9 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from hgcl.config import (_SCHEMA, Hyperparams, RunConfig, config_from_text, parse_config,
-                         serialize_config, with_ablations, with_seed)
-from hgcl.model import Ablations
+from hgcl.config import (_SCHEMA, Ablations, Hyperparams, RunConfig, config_from_text,
+                         parse_config, serialize_config, with_ablations, with_seed)
 from hgcl.objectives import LossConfig
 
 SAMPLE = """
@@ -132,6 +131,14 @@ def test_rank_must_stay_below_dim():
     cfg = RunConfig(hyper=Hyperparams(dim=4, rank=4))
     with pytest.raises(ValueError, match="rank"):
         cfg.validate()
+
+
+def test_negative_seed_is_named(tmp_path):
+    # numpy would reject it later without naming the seed.
+    path = tmp_path / "run.cfg"
+    path.write_text("[train]\nseed = -3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        parse_config(path)
 
 
 def test_alpha_range_checked():

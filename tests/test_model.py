@@ -6,15 +6,17 @@ import pytest
 
 from hgcl import objectives
 from hgcl.autodiff import Tape, backward, grad_check
-from hgcl.config import Hyperparams, RunConfig
+from hgcl.config import Ablations, Hyperparams, RunConfig, with_ablations
 from hgcl.encoder import build_graph_operators, encode
 from hgcl.graphs import build_hetero_graph
 from hgcl.meta import (MetaMLP, apply_transform, extract_meta_knowledge, fuse_final,
                        generate_transforms)
-from hgcl.model import (Ablations, cl_negative_pools, compute_final_embeddings,
-                        forward_model, init_params, param_order, regularized_keys,
-                        trainable_keys, transform_matrix_for_node)
+from hgcl.model import (cl_negative_pools, compute_final_embeddings, forward_model,
+                        init_params, param_order, transform_matrix_for_node)
 from hgcl.objectives import LossConfig, bpr_loss, infonce_loss, total_loss
+from hgcl.trainer import run_seeds, train
+
+from conftest import small_config
 
 
 def tiny_setup(m=6, n=8, dim=4, rank=2, seed=0, dtype=np.float64):
@@ -87,23 +89,52 @@ def test_init_is_seeded_and_bounded():
     np.testing.assert_array_equal(a["user_gate_b"], 0.0)
 
 
-def test_trainable_keys_respect_ablations():
-    params = init_params(6, 8, 4, 2, seed=0)
-    full = set(trainable_keys(params, Ablations()))
-    assert full == set(params)
-    no_meta = set(trainable_keys(params, Ablations(no_meta=True)))
-    assert "user_mlp1_w_in" not in no_meta and "item_transfer_slope" not in no_meta
-    assert "user_gate_w" in no_meta
-    no_uu = set(trainable_keys(params, Ablations(no_uu=True)))
-    assert "user_gate_w" not in no_uu and "user_mlp2_w_out" not in no_uu
-    assert "item_gate_w" in no_uu and "item_mlp1_w_in" in no_uu
+# The parameters a training step does not read under each ablation.
+UNREAD = {
+    None: [],
+    "meta": ["user_mlp1_w_in", "user_mlp1_b_in", "user_mlp1_slope", "user_mlp1_w_out",
+             "user_mlp1_b_out", "user_mlp2_w_in", "user_mlp2_b_in", "user_mlp2_slope",
+             "user_mlp2_w_out", "user_mlp2_b_out", "item_mlp1_w_in", "item_mlp1_b_in",
+             "item_mlp1_slope", "item_mlp1_w_out", "item_mlp1_b_out", "item_mlp2_w_in",
+             "item_mlp2_b_in", "item_mlp2_slope", "item_mlp2_w_out", "item_mlp2_b_out",
+             "user_transfer_slope", "item_transfer_slope"],
+    "uu": ["user_gate_w", "user_gate_b", "user_mlp1_w_in", "user_mlp1_b_in", "user_mlp1_slope",
+           "user_mlp1_w_out", "user_mlp1_b_out", "user_mlp2_w_in", "user_mlp2_b_in",
+           "user_mlp2_slope", "user_mlp2_w_out", "user_mlp2_b_out", "user_transfer_slope"],
+    "ii": ["item_gate_w", "item_gate_b", "item_mlp1_w_in", "item_mlp1_b_in", "item_mlp1_slope",
+           "item_mlp1_w_out", "item_mlp1_b_out", "item_mlp2_w_in", "item_mlp2_b_in",
+           "item_mlp2_slope", "item_mlp2_w_out", "item_mlp2_b_out", "item_transfer_slope"],
+    "cl": [],
+}
 
 
-def test_regularized_keys_exclude_slopes():
-    params = init_params(6, 8, 4, 2, seed=0)
-    reg = regularized_keys(params, Ablations())
-    assert "user_emb" in reg and "user_gate_w" in reg and "user_mlp1_w_in" in reg
-    assert not any(k.endswith("slope") for k in reg)
+@pytest.mark.parametrize("ablation", list(UNREAD))
+def test_a_parameter_is_trained_and_regularized_exactly_when_read(
+        small_manifest, tmp_path, monkeypatch, ablation):
+    # An ablated component's parameters keep their initial bits and stay out
+    # of the L2 term; every other parameter moves, and the L2 term takes the
+    # read parameters other than the PReLU slopes, in declared order.
+    import hgcl.trainer as train_mod
+    real, l2_inputs = train_mod.backward, []
+
+    def recording(tape, loss, wrt):
+        l2_inputs.extend([t.name for t in inputs]
+                         for op, _, inputs, _ in tape._nodes if op == "sum_squares")
+        return real(tape, loss, wrt)
+
+    monkeypatch.setattr(train_mod, "backward", recording)
+    cfg = small_config(small_manifest, tmp_path, epochs=1)
+    cfg = with_ablations(cfg, [ablation] if ablation else [])
+    ckpt = train(cfg, write_outputs=False).checkpoint
+    hp = cfg.hyper
+    initial = init_params(ckpt.m, ckpt.n, hp.dim, hp.rank, run_seeds(hp.seed).init, cfg.dtype)
+    unread = UNREAD[ablation]
+    assert set(unread) <= set(initial)
+    unchanged = [k for k in initial if np.array_equal(ckpt.params[k], initial[k])]
+    assert unchanged == [k for k in initial if k in unread]
+    names = [name for name, _ in param_order(hp.dim, hp.rank, ckpt.m, ckpt.n)]
+    read_l2 = [k for k in names if k not in unread and not k.endswith("slope")]
+    assert l2_inputs and all(step == read_l2 for step in l2_inputs)
 
 
 def test_forward_shapes_and_loss_components():
@@ -166,7 +197,7 @@ def test_batch_candidates_restrict_the_contrastive_pool():
 def test_gradients_flow_to_every_trainable_parameter():
     graph, params, ops = tiny_setup()
     batch = batch_for(6, 8, 48, seed=5)
-    keys = trainable_keys(params, Ablations())
+    keys = list(params)
     tape, leaves, cache = run_forward(params, ops, batch=batch)
     grads = backward(tape, cache.loss, [leaves[k] for k in keys])
     for k, g in zip(keys, grads):
@@ -200,7 +231,7 @@ def test_transform_matrix_rank_bound_and_errors():
 def test_float32_mode_runs_and_keeps_dtype():
     graph, params, ops = tiny_setup(dtype=np.float32)
     batch = batch_for(6, 8, 16)
-    keys = trainable_keys(params, Ablations())
+    keys = list(params)
     tape, leaves, cache = run_forward(params, ops, batch=batch)
     assert cache.e_u_final.value.dtype == np.float32
     grads = dict(zip(keys, backward(tape, cache.loss, [leaves[k] for k in keys])))
@@ -216,7 +247,7 @@ def test_float32_training_step_keeps_every_gradient_float32():
     # Every upstream gradient a VJP receives, sums of contributions included,
     # and every array it returns stays float32.
     graph, params, ops = tiny_setup(dtype=np.float32)
-    keys = trainable_keys(params, Ablations())
+    keys = list(params)
     tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16))
     wrong, calls = set(), []
 
@@ -241,7 +272,7 @@ def test_backward_keeps_no_intermediate_gradient():
     # returned gradient or as the base of one. (Numpy scalars, which some
     # scalar nodes receive, cannot be weakly referenced and are skipped.)
     graph, params, ops = tiny_setup()
-    keys = trainable_keys(params, Ablations())
+    keys = list(params)
     tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16))
     calls, received = [], []
 
@@ -310,7 +341,8 @@ def reference_loss(tape, leaves, ops, cfg, batch):
         e_aux_m = apply_transform(tape, tr, e_aux, leaves[f"{side}_transfer_slope"])
         finals.append(fuse_final(tape, e_view, e_aux, e_aux_m, alpha))
         contrastive.append((tape.add(e_aux_m, e_aux), e_view, cands))
-    reg = [leaves[k] for k in regularized_keys(leaves, cfg.ablations)]
+    read = tape.inputs()
+    reg = [t for k, t in leaves.items() if t in read and not k.endswith("slope")]
     bpr = bpr_loss(tape, finals[0], finals[1], batch, reg, cfg.loss.l2_weight)
     cl_user, cl_item = (infonce_loss(tape, a, t, c, cfg.loss.temperature)
                         for a, t, c in contrastive)
@@ -320,7 +352,7 @@ def reference_loss(tape, leaves, ops, cfg, batch):
 def test_batch_rows_only_training_matches_the_all_rows_reference():
     graph, params, ops = tiny_setup()
     cfg = model_cfg(loss_cfg=LossConfig(cl_negatives="batch"))
-    keys = trainable_keys(params, cfg.ablations)
+    keys = list(params)
     tape, leaves, cache = run_forward(params, ops, batch=SUBSET_BATCH, loss_cfg=cfg.loss)
     grads = backward(tape, cache.loss, [leaves[k] for k in keys])
     ref_tape = Tape()

@@ -269,6 +269,21 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
         load_checkpoint(bad_version)
 
 
+@pytest.mark.parametrize("part, offset", [("config snapshot", 3), ("parameter name", 1)],
+                         ids=["config", "name"])
+def test_checkpoint_rejects_text_that_is_not_utf8(tmp_path, part, offset):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(Checkpoint(m=1, n=1, dim=1, rank=1, layers=1, config_text="[data]\n",
+                               user_ids=np.array([0]), item_ids=np.array([0]),
+                               params={"user_emb": np.zeros((1, 1))}), good)
+    data = bytearray(good.read_bytes())
+    data[data.index(b"[data]" if part == "config snapshot" else b"user_emb") + offset] = 0xFF
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=f"bad.ckpt: .*{part} is not UTF-8"):
+        load_checkpoint(bad)
+
+
 def test_evaluation_never_mutates_params(trained_small):
     cfg, result = trained_small
     bundle = load_bundle(cfg)
