@@ -24,10 +24,10 @@ and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
 for byte. The same directory matters: a checkpoint embeds its config, whose
 paths are resolved to absolute ones. After the f64, full, unablated training
 each side also runs ``export-transforms`` for user 17 and item 17. After it
-and after the f64, full trainings with ``meta`` and with ``uu`` ablated, each
-side runs ``grad-check`` on that training's config (``grad-check`` has no
-``--ablate`` flag, so an ablated run's config gets ``ablate = ...`` in
-``[train]``), and the three stdouts are compared.
+and after each f64, full ablated training (``meta``, ``uu``, ``ii`` and
+``cl``), each side runs ``grad-check`` on that training's config
+(``grad-check`` has no ``--ablate`` flag, so an ablated run's config gets
+``ablate = ...`` in ``[train]``), and the five stdouts are compared.
 
 Prints one line per training, one per transform CSV and one per grad-check,
 and exits 1 if any output differs. When a training's ``epochs.jsonl`` differs,
@@ -66,7 +66,8 @@ RUNS += [("f64", "full", None, None, SYNTHETIC, layers) for layers in (1, 3)]
 RUNS += [(precision, negatives, None, None, manifest, 2) for manifest in DERIVED
          for precision, negatives in (("f64", "full"), ("f32", "batch"))]
 # The trainings after which grad-check runs on the same config.
-GRAD_CHECKED = [("f64", "full", ablation, None, SYNTHETIC, 2) for ablation in (None, "meta", "uu")]
+GRAD_CHECKED = [("f64", "full", ablation, None, SYNTHETIC, 2)
+                for ablation in (None, "meta", "uu", "ii", "cl")]
 CONFIG = """[data]
 manifest = {manifest}
 checkpoint = out/model.ckpt

@@ -399,13 +399,15 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
     """Compare analytic gradients of ``builder`` against central differences.
 
     ``builder(tape, tensors)`` must deterministically build a scalar loss from
-    the leaf tensors created for ``inputs``. When the total coordinate count
-    exceeds ``max_coords`` a seeded random subset of that size is probed
-    (``None`` probes everything). Probes whose two evaluations disagree on any
-    prelu input sign are skipped (the perturbation crossed a kink). Returns
-    the max over probed coordinates of ``max(0, |a - fd| - noise) / (|a| +
-    |fd| + 1e-12)``, where ``noise = eps_mach * max(|f+|, |f-|) / eps`` bounds
-    the rounding error of the central difference itself.
+    the leaf tensors created for ``inputs``. Only inputs that the loss reaches
+    are probed: an unreached one has no analytic gradient and an exactly zero
+    difference. When their total coordinate count exceeds ``max_coords`` a
+    seeded random subset of that size is probed (``None`` probes everything).
+    Probes whose two evaluations disagree on any prelu input sign are skipped
+    (the perturbation crossed a kink). Returns the max over probed coordinates
+    of ``max(0, |a - fd| - noise) / (|a| + |fd| + 1e-12)``, where ``noise =
+    eps_mach * max(|f+|, |f-|) / eps`` bounds the rounding error of the
+    central difference itself.
     """
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in inputs.items()}
 
@@ -422,7 +424,7 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
         return float(loss.value), signs
 
     grads, _ = run(arrays, True)
-    keys = sorted(arrays)
+    keys = sorted(k for k in arrays if grads[k] is not None)
     sizes = np.array([arrays[k].size for k in keys])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     total = int(offsets[-1])
@@ -431,9 +433,6 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
         coords = np.sort(rng.choice(total, size=max_coords, replace=False))
     else:
         coords = np.arange(total)
-
-    analytic = {k: np.zeros(arrays[k].size) if grads[k] is None else grads[k].ravel()
-                for k in keys}
 
     max_rel = 0.0
     for gc in coords:
@@ -454,7 +453,7 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
             continue  # kink coordinate
         fd = (probes[0] - probes[1]) / (2.0 * eps)
         noise = np.finfo(np.float64).eps * max(abs(probes[0]), abs(probes[1])) / eps
-        a = float(analytic[key][local])
+        a = float(grads[key].flat[local])
         rel = max(0.0, abs(a - fd) - noise) / (abs(a) + abs(fd) + 1e-12)
         max_rel = max(max_rel, rel)
     return max_rel

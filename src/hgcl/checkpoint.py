@@ -8,6 +8,7 @@ save/load round trip is bit-identical.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ class _Reader:
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.data):
-            raise CheckpointError("truncated checkpoint")
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.data[self.pos:self.pos + count]
         self.pos += count
         return out
@@ -117,10 +118,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len, "a parameter name")
         (ndim,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{ndim}Q") if ndim else ()
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(reader.take(count * 8), dtype="<f8").copy()
-        params[name] = arr.reshape(shape) if ndim else arr.reshape(())
+        shape = reader.unpack(f"<{ndim}Q")
+        count = math.prod(shape)  # a Python int: np.prod would wrap a huge shape
+        params[name] = np.frombuffer(reader.take(count * 8), dtype="<f8").copy().reshape(shape)
     if reader.pos != len(reader.data):
         raise CheckpointError(f"{path}: trailing bytes after parameter arrays")
     declared = dict(param_order(dim, rank, m, n))

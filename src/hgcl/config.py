@@ -159,8 +159,9 @@ def config_from_text(text: str) -> RunConfig:
 
 def _read_config(text: str, source: str, base: Path | None) -> RunConfig:
     """The one section walk: reject unknown sections and keys, convert each
-    value by its schema type, resolve [data] paths against ``base`` when
-    given, and validate the result."""
+    value by its schema type (a failure names the section and key), resolve
+    [data] paths against ``base`` when given (refusing an empty one), and
+    validate the result."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text, source=source)
     top: dict = {}
@@ -172,11 +173,14 @@ def _read_config(text: str, source: str, base: Path | None) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ValueError(f"{source}: unknown key {key!r} in [{section}]")
             target, kind = _SCHEMA[section][key]
-            if kind is Ablations:
-                value = Ablations.from_names([v.strip() for v in raw.split(",") if v.strip()])
-            else:
-                value = kind(raw)
+            try:
+                value = (Ablations.from_names([v.strip() for v in raw.split(",") if v.strip()])
+                         if kind is Ablations else kind(raw))
+            except ValueError as exc:
+                raise ValueError(f"{source}: [{section}] {key}: {exc}") from None
             if base is not None and section == "data":
+                if not value:  # would resolve to the config's own directory
+                    raise ValueError(f"{source}: [data] {key} is empty")
                 value = str((base / value).resolve())
             head, _, attr = target.partition(".")
             if attr:

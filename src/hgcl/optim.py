@@ -19,22 +19,16 @@ class AdamState:
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     step: int = 0
 
-    def buffers_for(self, name: str, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if name not in self.first:
-            self.first[name] = np.zeros_like(like)
-            self.second[name] = np.zeros_like(like)
-            self.scratch[name] = (np.empty_like(like), np.empty_like(like))
-        return self.first[name], self.second[name]
-
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """In-place Adam update of every parameter that has a gradient.
 
-    Parameters without a gradient keep their value but their moments still
-    decay, matching the usual treatment of momentarily unused parameters.
-    Intermediates go to scratch arrays in the order of ``p -= lr * m_hat /
-    (sqrt(v_hat) + EPS)``: the same bits, and no allocation after the first step.
+    A None gradient means the forward never reads the parameter, so it has no
+    moments to decay (they would stay 0) and gets no state at all; a
+    parameter's buffers are made on its first gradient. Intermediates go to
+    scratch arrays in the order of ``p -= lr * m_hat / (sqrt(v_hat) + EPS)``:
+    the same bits, and no allocation after a parameter's first step.
     """
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
@@ -45,14 +39,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        m, v = state.buffers_for(name, p)
-        m *= BETA1
-        v *= BETA2
+    for name, g in grads.items():
         if g is None:
             continue
-        a, b = state.scratch[name]
+        p = params[name]
+        if name not in state.first:
+            state.first[name], state.second[name] = np.zeros_like(p), np.zeros_like(p)
+            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
+        m, v, (a, b) = state.first[name], state.second[name], state.scratch[name]
+        m *= BETA1
+        v *= BETA2
         m += np.multiply(1.0 - BETA1, g, out=a)
         v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=a), out=a)
         np.divide(m, bc1, out=a)                            # m_hat

@@ -183,7 +183,7 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             try:
                 cache = forward_model(tape, leaves, ops, cfg, batch=batch)
                 # A parameter the forward did not read (an ablated component's)
-                # gets None, which adam_step leaves unchanged.
+                # gets None, and with it neither an Adam update nor Adam state.
                 grads = backward(tape, cache.loss, list(leaves.values()))
                 adam_step(params, dict(zip(params, grads)), state, hp.learning_rate)
             except (FloatingPointError, DiffError) as exc:

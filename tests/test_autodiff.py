@@ -800,6 +800,20 @@ def test_grad_check_subset_is_seeded_and_bounded():
     assert err1 < 1e-5
 
 
+def test_grad_check_does_not_probe_an_input_the_loss_never_reads():
+    rng = np.random.default_rng(1)
+    inputs = {"x": rng.normal(size=(3, 4)), "y": rng.normal(size=1000)}
+    calls = []
+
+    def build(tape, ts):
+        calls.append(None)
+        return tape.sum_all(tape.mul(ts["x"], ts["x"]))
+
+    assert grad_check(build, inputs, max_coords=None) < 1e-6
+    # One analytic pass and two evaluations per coordinate of x alone.
+    assert len(calls) == 1 + 2 * inputs["x"].size
+
+
 def _recording_primitives():
     """Public Tape methods whose body records a node through ``_emit``."""
     return {name for name, fn in vars(Tape).items()

@@ -241,14 +241,25 @@ USER_META = ["user_mlp1_w_in", "user_mlp1_b_in", "user_mlp1_slope", "user_mlp1_w
     ("meta", GATES_AND_EMBEDDINGS),
     ("uu", ["user_emb", "item_emb", "item_gate_w", "item_gate_b"] + ITEM_META),
 ], ids=["none", "meta", "uu"])
-def test_grad_check_command(pipeline, tmp_path, monkeypatch, ablate, checked):
-    # grad-check probes exactly the parameters a training step reads.
+def test_grad_check_command(pipeline, tmp_path, monkeypatch, capsys, ablate, checked):
+    # grad-check hands every parameter to grad_check, which probes the ones
+    # the loss reaches: the same error as checking the parameters a training
+    # step reads, with the others frozen leaves.
     import hgcl.cli
-    real, seen = hgcl.cli.grad_check, []
+    real, seen, errors, literal = hgcl.cli.grad_check, [], [], []
 
     def spy(builder, inputs, **kwargs):
         seen.append(sorted(inputs))
-        return real(builder, inputs, **kwargs)
+        frozen = {k: v for k, v in inputs.items() if k not in checked}
+
+        def read_only(tape, tensors):
+            return builder(tape, {**tensors,
+                                  **{k: tape.leaf(v, name=k) for k, v in frozen.items()}})
+
+        literal.append(real(read_only, {k: v for k, v in inputs.items() if k in checked},
+                            **kwargs))
+        errors.append(real(builder, inputs, **kwargs))
+        return errors[-1]
 
     monkeypatch.setattr(hgcl.cli, "grad_check", spy)
     root, _ = pipeline
@@ -259,4 +270,6 @@ def test_grad_check_command(pipeline, tmp_path, monkeypatch, ablate, checked):
     code = cli_main(["grad-check", "--config", str(cfg_path),
                      "--max-coords", "40", "--batch", "32"])
     assert code == 0
-    assert seen == [sorted(checked)]
+    assert seen == [sorted(GATES_AND_EMBEDDINGS + USER_META + ITEM_META)]
+    assert errors == literal
+    assert f"max relative gradient error: {literal[0]:.3e}" in capsys.readouterr().out

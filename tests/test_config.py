@@ -114,12 +114,31 @@ def test_unknown_keys_and_sections_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    *((f"[data]\n{key} =\n", rf"\[data\] {key} is empty")
+      for key in ("manifest", "checkpoint", "metrics_csv", "epochs_jsonl")),
+    ("[model]\ndim = abc\n", r"\[model\] dim: invalid literal"),
+    ("[train]\nbatch_size = 1e3\n", r"\[train\] batch_size: invalid literal"),
+    ("[loss]\ntemperature = warm\n", r"\[loss\] temperature: could not convert"),
+    ("[train]\nablate = cl,gates\n", r"\[train\] ablate: unknown ablation"),
+], ids=["manifest", "checkpoint", "metrics_csv", "epochs_jsonl",
+        "int", "int-exponent", "float", "ablation"])
+def test_a_bad_value_names_its_file_section_and_key(tmp_path, text, match):
+    # An empty [data] value would otherwise resolve to the config's own
+    # directory and fail later as "Is a directory".
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"run.cfg: {match}"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("text,match", [
     ("[nonsense]\nx = 1\n", "unknown section"),
     ("[model]\nwidth = 4\n", "unknown key"),
     ("[model]\ndim = 4\nrank = 4\n", "rank"),
     ("[model]\nprecision = f16\n", "precision"),
-], ids=["section", "key", "rank", "precision"])
+    ("[model]\ndim = abc\n", r"\[model\] dim"),
+], ids=["section", "key", "rank", "precision", "type"])
 def test_config_snapshot_is_checked_like_a_file(text, match):
     # Checkpoints carry their config as text; a corrupt or hand-edited
     # snapshot must fail with the same named errors as a config file.

@@ -249,12 +249,16 @@ def test_adam_zero_gradient_keeps_params_but_decays_moments():
 
 
 def test_adam_none_gradient_leaves_value_untouched():
-    params = {"w": np.array([1.0])}
+    params = {"w": np.array([1.0]), "unread": np.array([2.0])}
     state = AdamState()
-    adam_step(params, {"w": np.array([1.0])}, state, 0.01)
+    adam_step(params, {"w": np.array([1.0]), "unread": None}, state, 0.01)
     value = params["w"].copy()
-    adam_step(params, {"w": None}, state, 0.01)
+    adam_step(params, {"w": None, "unread": None}, state, 0.01)
     np.testing.assert_array_equal(params["w"], value)
+    np.testing.assert_array_equal(params["unread"], [2.0])
+    # A parameter that only ever had None gradients gets no Adam state.
+    for buffers in (state.first, state.second, state.scratch):
+        assert "unread" not in buffers
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

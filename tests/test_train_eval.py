@@ -1,5 +1,6 @@
 """Trainer, ranked evaluation, sparsity groups, and checkpoint round trips."""
 import json
+import struct
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -267,6 +268,25 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     bad_version.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad_version)
+
+
+def test_checkpoint_names_the_file_when_truncated_or_oversized(tmp_path):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(Checkpoint(m=1, n=1, dim=1, rank=1, layers=1, config_text="",
+                               user_ids=np.array([0]), item_ids=np.array([0]),
+                               params={"user_emb": np.zeros((1, 1))}), good)
+    data = good.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(data[:-4])
+    with pytest.raises(CheckpointError, match="cut.ckpt: truncated checkpoint"):
+        load_checkpoint(cut)
+    # 2**32 * 2**32 elements: an int64 product wraps to 0, so the loader would
+    # read an empty payload and fail in numpy's reshape with a plain ValueError.
+    shape_at = data.index(b"user_emb") + len(b"user_emb") + 1
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(data[:shape_at] + struct.pack("<2Q", 2**32, 2**32) + data[shape_at + 16:])
+    with pytest.raises(CheckpointError, match="huge.ckpt: truncated checkpoint"):
+        load_checkpoint(huge)
 
 
 @pytest.mark.parametrize("part, offset", [("config snapshot", 3), ("parameter name", 1)],
