@@ -27,13 +27,20 @@ each side also runs ``export-transforms`` for user 17 and item 17. After it
 and after each f64, full ablated training (``meta``, ``uu``, ``ii`` and
 ``cl``), each side runs ``grad-check`` on that training's config
 (``grad-check`` has no ``--ablate`` flag, so an ablated run's config gets
-``ablate = ...`` in ``[train]``), and the five stdouts are compared.
+``ablate = ...`` in ``[train]``), and the five stdouts are compared. After
+the f64 ``full`` and the f32 ``batch`` unablated trainings each side runs
+``hgcl eval --checkpoint out/model.ckpt --data <manifest> --k 5``, the CLI's
+path that casts the 64-bit checkpoint to the run's precision, and the two
+``metrics.csv`` files it writes are compared. The 200 users are fewer than
+``trainer.EVAL_BLOCK``, so every evaluation here scores one block; block
+boundaries are covered by ``tests/test_train_eval.py``'s blocked-ranking
+test and by the benchmark's HR@10 and NDCG@10 at 4000 and 8000 users.
 
-Prints one line per training, one per transform CSV and one per grad-check,
-and exits 1 if any output differs. When a training's ``epochs.jsonl`` differs,
-a further line gives the worst relative difference ``|a - b| / max(|a|, |b|)``
-over its epochs for each numeric field, so that a change which gives up
-bit-identity on purpose can state its drift.
+Prints one line per training, one per transform CSV, one per grad-check and
+one per eval, and exits 1 if any output differs. When a training's
+``epochs.jsonl`` differs, a further line gives the worst relative difference
+``|a - b| / max(|a|, |b|)`` over its epochs for each numeric field, so that a
+change which gives up bit-identity on purpose can state its drift.
 
 Such a change must state its own drift bound for the two extreme-temperature
 trainings (f32 at t=0.01, f64 at t=0.002): they amplify rounding far past the
@@ -68,6 +75,8 @@ RUNS += [(precision, negatives, None, None, manifest, 2) for manifest in DERIVED
 # The trainings after which grad-check runs on the same config.
 GRAD_CHECKED = [("f64", "full", ablation, None, SYNTHETIC, 2)
                 for ablation in (None, "meta", "uu", "ii", "cl")]
+# The trainings after which ``hgcl eval --k 5`` runs on the checkpoint.
+EVALUATED = [("f64", "full", None, None, SYNTHETIC, 2), ("f32", "batch", None, None, SYNTHETIC, 2)]
 CONFIG = """[data]
 manifest = {manifest}
 checkpoint = out/model.ckpt
@@ -179,6 +188,9 @@ def run_side(tree: Path, work: Path, keep: Path, run) -> None:
         config.write_text((work / "run.cfg").read_text(encoding="utf-8")
                           + (f"ablate = {ablation}\n" if ablation else ""), encoding="utf-8")
         (keep / "grad-check.txt").write_bytes(hgcl(tree, work, "grad-check", "--config", config.name))
+    if run in EVALUATED:
+        hgcl(tree, work, "eval", "--checkpoint", "out/model.ckpt", "--data", manifest, "--k", "5")
+        shutil.copy(work / "out" / "metrics.csv", keep / "eval-metrics.csv")
 
 
 def main() -> int:
@@ -213,6 +225,8 @@ def main() -> int:
                            for side in ("user", "item")]
             if run in GRAD_CHECKED:
                 groups.append((f"grad-check stdout, ablate = {run[2] or '-'}", ("grad-check.txt",)))
+            if run in EVALUATED:
+                groups.append((f"eval --k 5 after train {run[0]} {run[1]}", ("eval-metrics.csv",)))
             for label, names in groups:
                 bad = [n for n in names if (base / n).read_bytes() != (change / n).read_bytes()]
                 failed += bool(bad)

@@ -90,11 +90,15 @@ def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> 
 class Tape:
     """Single-owner record of one forward pass.
 
-    :func:`backward` seals the tape: recording after it is an error.
+    :func:`backward` seals the tape: recording after it is an error. A tape
+    made with ``record=False`` keeps no node, so a forward that is never
+    differentiated frees each intermediate once it drops it; ``backward`` and
+    ``inputs`` refuse such a tape.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
         self._nodes: list[tuple] = []  # (op name, output, inputs, vjp)
+        self._record = record
         self._sealed = False
 
     def leaf(self, value, name: str = "") -> Tensor:
@@ -102,6 +106,8 @@ class Tape:
 
     def inputs(self) -> set[Tensor]:
         """Every tensor that a recorded node has taken as an input."""
+        if not self._record:
+            raise DiffError("an unrecorded tape has no inputs")
         return {t for _, _, inputs, _ in self._nodes for t in inputs}
 
     def _emit(self, op: str, value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -109,7 +115,8 @@ class Tape:
             raise DiffError("cannot record a primitive on a tape after backward")
         out = Tensor(value)
         out.produced = True
-        self._nodes.append((op, out, inputs, vjp))
+        if self._record:
+            self._nodes.append((op, out, inputs, vjp))
         return out
 
     # -- elementwise / scalar assembly ------------------------------------
@@ -364,6 +371,8 @@ def backward(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | N
     of ``wrt`` is not reported, and one made only by adding two finite parts
     is left for ``adam_step`` to reject.
     """
+    if not tape._record:
+        raise DiffError("cannot differentiate an unrecorded tape")
     if loss.value.shape != ():
         raise DiffError(f"loss must be scalar, got shape {loss.value.shape}")
     if any(t.produced for t in wrt):

@@ -158,7 +158,7 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
 
 def _forward_all_rows(params: dict[str, np.ndarray], ops: GraphOperators,
                       cfg: RunConfig) -> ForwardCache:
-    tape = Tape()
+    tape = Tape(record=False)  # never differentiated: keep no intermediate
     return forward_model(tape, {k: tape.leaf(v, name=k) for k, v in params.items()}, ops, cfg)
 
 

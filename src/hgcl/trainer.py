@@ -21,6 +21,10 @@ from .optim import AdamState, adam_step
 
 log = logging.getLogger(__name__)
 
+# Test users per block in evaluate_ranks: its candidate gather is
+# O(EVAL_BLOCK * 99 * d) floats, never (users, 99, d).
+EVAL_BLOCK = 512
+
 
 @dataclass
 class GroupMetrics:
@@ -63,7 +67,10 @@ def evaluate_ranks(e_user: np.ndarray, e_item: np.ndarray,
     if len(users) == 0:
         raise ValueError("dataset has no evaluation rows")
     pos_scores = (e_user[users] * e_item[pos]).sum(axis=1)
-    neg_scores = np.einsum("ud,ukd->uk", e_user[users], e_item[negs])
+    neg_scores = np.empty(negs.shape, np.result_type(e_user, e_item))
+    for i in range(0, len(users), EVAL_BLOCK):
+        blk = slice(i, i + EVAL_BLOCK)
+        neg_scores[blk] = np.einsum("ud,ukd->uk", e_user[users[blk]], e_item[negs[blk]])
     beats = (neg_scores > pos_scores[:, None]) | (
         (neg_scores == pos_scores[:, None]) & (negs < pos[:, None]))
     return users, 1 + beats.sum(axis=1)
@@ -195,6 +202,10 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             totals["bpr"] += float(cache.bpr.value)
             totals["cl_user"] += float(cache.cl_user.value) if cache.cl_user is not None else 0.0
             totals["cl_item"] += float(cache.cl_item.value) if cache.cl_item is not None else 0.0
+        # Evaluation must not hold the last step's tape. Steps keep theirs until
+        # the next one replaces it: freeing it as a step ends lets malloc trim
+        # the heap, which the next step then page-faults back in.
+        del tape, leaves, cache, grads
         epoch_seconds.append(time.perf_counter() - started)
         record = {"epoch": epoch, **{k: v / n_batches for k, v in totals.items()}}
 

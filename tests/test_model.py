@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hgcl import objectives
-from hgcl.autodiff import Tape, backward, grad_check
+from hgcl.autodiff import DiffError, Tape, backward, grad_check
 from hgcl.config import Ablations, Hyperparams, RunConfig, with_ablations
 from hgcl.encoder import build_graph_operators, encode
 from hgcl.graphs import build_hetero_graph
@@ -213,6 +213,45 @@ def test_compute_final_embeddings_deterministic():
     b = compute_final_embeddings(params, ops, model_cfg())
     assert a[0].tobytes() == b[0].tobytes()
     assert a[1].tobytes() == b[1].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ablation", [None, "meta", "uu", "ii", "cl"])
+def test_the_all_rows_forward_records_no_tape_and_matches_a_recorded_one(
+        monkeypatch, ablation, dtype):
+    import hgcl.model as model_mod
+    graph, params, _ = tiny_setup(dtype=dtype)
+    abl = Ablations.from_names([ablation] if ablation else [])
+    ops = build_graph_operators(graph, dtype, no_uu=abl.no_uu, no_ii=abl.no_ii)
+    cfg = model_cfg(abl=abl)
+    recorded = Tape()
+    cache = forward_model(recorded, {k: recorded.leaf(v, name=k) for k, v in params.items()},
+                          ops, cfg)
+    assert recorded._nodes
+    real, tapes = model_mod.forward_model, []
+
+    def watching(tape, *args, **kwargs):
+        tapes.append(tape)
+        return real(tape, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "forward_model", watching)
+    e_user, e_item = compute_final_embeddings(params, ops, cfg)
+    assert len(tapes) == 1 and tapes[0]._nodes == []
+    for got, want in ((e_user, cache.e_u_final.value), (e_item, cache.e_i_final.value)):
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_an_unrecorded_tape_cannot_be_differentiated():
+    graph, params, ops = tiny_setup()
+    tape = Tape(record=False)
+    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
+    loss = tape.sum_all(leaves["user_emb"])
+    with pytest.raises(DiffError, match="unrecorded"):
+        backward(tape, loss, [leaves["user_emb"]])
+    with pytest.raises(DiffError, match="unrecorded"):
+        tape.inputs()
+    with pytest.raises(DiffError, match="unrecorded"):
+        forward_model(tape, leaves, ops, model_cfg(), batch=batch_for(6, 8, 16))
 
 
 def test_transform_matrix_rank_bound_and_errors():

@@ -1,6 +1,8 @@
 """Trainer, ranked evaluation, sparsity groups, and checkpoint round trips."""
 import json
 import struct
+import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +16,7 @@ from hgcl.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
 from hgcl.config import config_from_text, with_ablations
 from hgcl.dataset import InteractionDataset
 from hgcl.model import init_params
+from hgcl.synthetic import generate_synthetic
 from hgcl.trainer import (evaluate, evaluate_ranks, load_bundle, rank_metrics,
                         sparsity_report, train)
 
@@ -92,6 +95,119 @@ def test_thirty_epochs_cut_loss_on_every_seed(tmp_path):
         result = train(cfg, write_outputs=False)
         curve = result.report.loss_curve
         assert curve[29]["loss"] < curve[0]["loss"], f"seed {seed}"
+
+
+def tied_dataset(dtype):
+    """Eleven test users (of 13) with ties among their candidate scores.
+
+    User rows and even items are small integers, so many of their dot
+    products tie exactly; odd items are Gaussian, so those scores carry
+    rounding. Every fourth positive copies a negative's row.
+    """
+    m, n, d = 13, 300, 8
+    rng = np.random.default_rng(5)
+    users = np.array([0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 12], dtype=np.int64)
+    pos = rng.choice(n, size=len(users), replace=False)
+    negs = np.array([np.sort(rng.choice(np.setdiff1d(np.arange(n), [p]), 99, replace=False))
+                     for p in pos])
+    e_user = rng.integers(-2, 3, size=(m, d)).astype(dtype)
+    e_item = rng.integers(-2, 3, size=(n, d)).astype(dtype)
+    e_item[1::2] = rng.standard_normal((n // 2, d)).astype(dtype)
+    for row in range(0, len(users), 4):
+        e_item[pos[row]] = e_item[negs[row, 7]]
+    ds = InteractionDataset(m=m, n=n, train_edges=np.zeros((0, 2), dtype=np.int64),
+                            test_users=users, test_positive=pos, eval_negatives=negs,
+                            user_groups=[np.arange(m)], train_counts=np.ones(m, dtype=np.int64))
+    return ds, e_user, e_item
+
+
+def one_call_ranks(e_user, e_item, ds):
+    """The ranking as one (users, 99, d) gather and one einsum."""
+    users, pos, negs = ds.test_users, ds.test_positive, ds.eval_negatives
+    pos_scores = (e_user[users] * e_item[pos]).sum(axis=1)
+    neg_scores = np.einsum("ud,ukd->uk", e_user[users], e_item[negs])
+    beats = (neg_scores > pos_scores[:, None]) | (
+        (neg_scores == pos_scores[:, None]) & (negs < pos[:, None]))
+    return 1 + beats.sum(axis=1), neg_scores
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block", [1, 3, 11, 4096])
+def test_blocked_ranking_is_the_single_einsum_bit_for_bit(monkeypatch, block, dtype):
+    import hgcl.trainer as train_mod
+
+    class EinsumSpy:
+        """numpy, with each einsum result kept."""
+
+        def __init__(self):
+            self.blocks = []
+
+        def einsum(self, *args, **kwargs):
+            self.blocks.append(np.einsum(*args, **kwargs))
+            return self.blocks[-1]
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    ds, e_user, e_item = tied_dataset(dtype)
+    expected, scores = one_call_ranks(e_user, e_item, ds)
+    pos_scores = (e_user[ds.test_users] * e_item[ds.test_positive]).sum(axis=1)
+    assert (scores == pos_scores[:, None]).any(axis=1).sum() >= 3  # tie-breaks decide ranks
+    spy = EinsumSpy()
+    monkeypatch.setattr(train_mod, "EVAL_BLOCK", block)
+    monkeypatch.setattr(train_mod, "np", spy)
+    users, ranks = evaluate_ranks(e_user, e_item, ds)
+    assert users is ds.test_users
+    assert ranks.tolist() == expected.tolist()
+    assert len(spy.blocks) == -(-len(users) // block)
+    blocked = np.concatenate(spy.blocks)
+    assert blocked.dtype == scores.dtype and blocked.tobytes() == scores.tobytes()
+
+
+def test_evaluation_peaks_below_one_candidate_gather(tmp_path):
+    # Scoring in user blocks and an unrecorded all-rows forward keep one
+    # evaluation under the (users, 99, d) gather that one einsum would need.
+    manifest = generate_synthetic(tmp_path / "data", 2000, 400, 0.8, seed=3)
+    cfg = small_config(str(manifest), tmp_path)
+    bundle = load_bundle(cfg)
+    hp = cfg.hyper
+    users = len(bundle.dataset.test_users)
+    assert users >= 2000
+    gather = users * 99 * hp.dim * np.dtype(cfg.dtype).itemsize
+    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, 0, cfg.dtype)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(params, bundle.ops, cfg, bundle.dataset)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < gather
+
+
+def test_no_training_tape_is_alive_at_evaluation(small_manifest, tmp_path, monkeypatch):
+    # The last step's tape, with its leaves, cache and gradients, is freed
+    # before evaluation: it never holds a training tape next to its own forward.
+    import hgcl.trainer as train_mod
+    tapes, alive = [], []
+
+    class WatchedTape(train_mod.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(weakref.ref(self))
+
+    real = train_mod.evaluate
+
+    def checking(*args, **kwargs):
+        alive.append([ref() is not None for ref in tapes])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "Tape", WatchedTape)
+    monkeypatch.setattr(train_mod, "evaluate", checking)
+    cfg = replace(small_config(small_manifest, tmp_path, epochs=3, seed=1), eval_every=1)
+    train(cfg, write_outputs=False)
+    assert len(alive) == 3 and all(len(flags) >= 2 for flags in alive)
+    assert not any(any(flags) for flags in alive)
 
 
 @pytest.mark.parametrize("patched, error", [
