@@ -56,8 +56,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     for name, arr in ckpt.params.items():
         encoded = name.encode("utf-8")
         arr64 = np.asarray(arr, dtype="<f8")
-        if not arr64.flags.c_contiguous:  # ascontiguousarray would drop 0-d shapes
-            arr64 = np.ascontiguousarray(arr64)
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
         parts.append(struct.pack("<B", arr64.ndim))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .autodiff import grad_check
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import config_from_text, parse_config, with_ablations, with_seed
+from .config import ABLATIONS, config_from_text, parse_config, with_ablations, with_seed
 from .dataset import BprSampler
 from .model import forward_model, init_params, transform_matrix_for_node
 from .meta import write_transform_csv
@@ -45,7 +45,7 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train a model from a config file")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--ablate", action="append", choices=["cl", "meta", "uu", "ii"],
+    p_train.add_argument("--ablate", action="append", choices=ABLATIONS,
                          default=None, help="repeatable; disable a model component")
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
 

@@ -6,12 +6,18 @@ import io
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .objectives import LossConfig
 
 log = logging.getLogger(__name__)
+
+
+# The model components a run can disable; Ablations has a ``no_<name>`` field
+# for each.
+ABLATIONS = ("cl", "meta", "uu", "ii")
 
 
 @dataclass(frozen=True)
@@ -24,15 +30,13 @@ class Ablations:
     @classmethod
     def from_names(cls, names) -> "Ablations":
         names = set(names or ())
-        unknown = names - {"cl", "meta", "uu", "ii"}
+        unknown = names - set(ABLATIONS)
         if unknown:
             raise ValueError(f"unknown ablation(s): {sorted(unknown)}")
-        return cls(no_cl="cl" in names, no_meta="meta" in names,
-                   no_uu="uu" in names, no_ii="ii" in names)
+        return cls(**{f"no_{name}": name in names for name in ABLATIONS})
 
     def names(self) -> list[str]:
-        return [n for n, on in (("cl", self.no_cl), ("meta", self.no_meta),
-                                ("uu", self.no_uu), ("ii", self.no_ii)) if on]
+        return [name for name in ABLATIONS if getattr(self, f"no_{name}")]
 
 
 @dataclass(frozen=True)
@@ -106,43 +110,33 @@ class RunConfig:
             raise ValueError("item_peer_cap must be >= 1")
 
 
-# The only listing of config keys: section -> key -> (RunConfig attribute
-# path, value type). Parsing and serialization both walk it in this order.
-_SCHEMA = {
-    "data": {
-        "manifest": ("manifest", str),
-        "checkpoint": ("checkpoint", str),
-        "metrics_csv": ("metrics_csv", str),
-        "epochs_jsonl": ("epochs_jsonl", str),
-    },
-    "model": {
-        "dim": ("hyper.dim", int),
-        "layers": ("hyper.layers", int),
-        "rank": ("hyper.rank", int),
-        "alpha_user": ("hyper.alpha_user", float),
-        "alpha_item": ("hyper.alpha_item", float),
-        "precision": ("precision", str),
-    },
-    "loss": {
-        "temperature": ("loss.temperature", float),
-        "cl_user_weight": ("loss.cl_user_weight", float),
-        "cl_item_weight": ("loss.cl_item_weight", float),
-        "cl_weight": ("loss.cl_weight", float),
-        "l2_weight": ("loss.l2_weight", float),
-        "cl_negatives": ("loss.cl_negatives", str),
-    },
-    "train": {
-        "batch_size": ("hyper.batch_size", int),
-        "learning_rate": ("hyper.learning_rate", float),
-        "epochs": ("hyper.epochs", int),
-        "seed": ("hyper.seed", int),
-        "top_k": ("top_k", int),
-        "eval_every": ("eval_every", int),
-        "patience": ("patience", int),
-        "item_peer_cap": ("item_peer_cap", int),
-        "ablate": ("ablations", Ablations),
-    },
+# The file layout: section -> keys, in file order. Each key sets the
+# Hyperparams, LossConfig or RunConfig field of its name, except ``ablate``,
+# which sets ``ablations``; the field's annotation is the value's type.
+_SECTIONS = {
+    "data": ("manifest", "checkpoint", "metrics_csv", "epochs_jsonl"),
+    "model": ("dim", "layers", "rank", "alpha_user", "alpha_item", "precision"),
+    "loss": ("temperature", "cl_user_weight", "cl_item_weight", "cl_weight", "l2_weight",
+             "cl_negatives"),
+    "train": ("batch_size", "learning_rate", "epochs", "seed", "top_k", "eval_every",
+              "patience", "item_peer_cap", "ablate"),
 }
+
+
+def _key_fields() -> dict[str, tuple[str | None, str, type]]:
+    """key -> (owner, field name, field type), where owner is the RunConfig
+    attribute that holds the field, or None for a field of RunConfig itself."""
+    hints = [(owner, get_type_hints(cls)) for owner, cls in
+             (("hyper", Hyperparams), ("loss", LossConfig), (None, RunConfig))]
+    fields = {}
+    for keys in _SECTIONS.values():
+        for key in keys:
+            name = "ablations" if key == "ablate" else key
+            fields[key] = next((owner, name, h[name]) for owner, h in hints if name in h)
+    return fields
+
+
+_KEY_FIELDS = _key_fields()
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -159,20 +153,19 @@ def config_from_text(text: str) -> RunConfig:
 
 def _read_config(text: str, source: str, base: Path | None) -> RunConfig:
     """The one section walk: reject unknown sections and keys, convert each
-    value by its schema type (a failure names the section and key), resolve
+    value by its field's type (a failure names the section and key), resolve
     [data] paths against ``base`` when given (refusing an empty one), and
     validate the result."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text, source=source)
-    top: dict = {}
-    nested: dict[str, dict] = {"hyper": {}, "loss": {}}
+    values: dict[str | None, dict] = {"hyper": {}, "loss": {}, None: {}}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ValueError(f"{source}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ValueError(f"{source}: unknown key {key!r} in [{section}]")
-            target, kind = _SCHEMA[section][key]
+            owner, name, kind = _KEY_FIELDS[key]
             try:
                 value = (Ablations.from_names([v.strip() for v in raw.split(",") if v.strip()])
                          if kind is Ablations else kind(raw))
@@ -182,13 +175,9 @@ def _read_config(text: str, source: str, base: Path | None) -> RunConfig:
                 if not value:  # would resolve to the config's own directory
                     raise ValueError(f"{source}: [data] {key} is empty")
                 value = str((base / value).resolve())
-            head, _, attr = target.partition(".")
-            if attr:
-                nested[head][attr] = value
-            else:
-                top[head] = value
-    cfg = RunConfig(hyper=Hyperparams(**nested["hyper"]), loss=LossConfig(**nested["loss"]),
-                    **top)
+            values[owner][name] = value
+    cfg = RunConfig(hyper=Hyperparams(**values["hyper"]), loss=LossConfig(**values["loss"]),
+                    **values[None])
     cfg.validate()
     return cfg
 
@@ -196,12 +185,11 @@ def _read_config(text: str, source: str, base: Path | None) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form of a config (stable key order; round-trips exactly)."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         parser[section] = {}
-        for key, (target, kind) in keys.items():
-            value = cfg
-            for attr in target.split("."):
-                value = getattr(value, attr)
+        for key in keys:
+            owner, name, kind = _KEY_FIELDS[key]
+            value = getattr(getattr(cfg, owner) if owner else cfg, name)
             if kind is Ablations:
                 parser[section][key] = ",".join(value.names())
             else:

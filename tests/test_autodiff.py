@@ -785,6 +785,59 @@ def test_shape_mismatches_raise():
             tape.bpr_rows(a, items, *bad)
 
 
+MISUSE = {
+    "spmm-shapes": (lambda t: t.spmm(SparseMatrix(sp.csr_matrix((2, 3))), t.leaf(np.ones((2, 2)))),
+                    ValueError, r"spmm: incompatible shapes \(2, 3\) x \(2, 2\)"),
+    "gather_rows-2d-index": (lambda t: t.gather_rows(t.leaf(np.ones((3, 2))), np.zeros((1, 1), int)),
+                             ValueError, "gather_rows expects a 1-d index array"),
+    "concat_columns-one-part": (lambda t: t.concat_columns(t.leaf(np.ones((2, 2)))),
+                                ValueError, "concat_columns needs at least two parts"),
+    "concat_columns-rows": (lambda t: t.concat_columns(t.leaf(np.ones((2, 2))),
+                                                       t.leaf(np.ones((3, 2)))),
+                            ValueError, "concat_columns: row counts differ"),
+    "prelu-slope": (lambda t: t.prelu(t.leaf(np.ones((2, 2))), t.leaf(np.ones(1))),
+                    ValueError, "prelu slope must be a scalar tensor"),
+    "row_l2_normalize-1d": (lambda t: t.row_l2_normalize(t.leaf(np.ones(3))),
+                            ValueError, "row_l2_normalize expects a 2-d tensor"),
+    "grad_check-non-scalar": (lambda t: grad_check(lambda tape, xs: tape.scale(xs["x"], 2.0),
+                                                   {"x": np.ones(3)}),
+                              DiffError, "grad_check requires a scalar loss"),
+    "adam_step-lr": (lambda t: adam_step({"x": np.ones(2)}, {"x": np.ones(2)}, AdamState(), 0.0),
+                     ValueError, "learning rate must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISUSE))
+def test_misuse_fails_with_a_named_error(case):
+    call, error, match = MISUSE[case]
+    tape = Tape()
+    with pytest.raises(error, match=match):
+        call(tape)
+    assert tape._nodes == []
+
+
+def test_backward_never_runs_the_vjp_of_a_node_the_loss_does_not_reach():
+    # One unreached node is recorded before the loss and one after it; both
+    # read the leaf whose gradient is taken.
+    tape = Tape()
+    x = tape.leaf(np.arange(3.0))
+    tape.scale(x, 2.0)
+    loss = tape.sum_all(x)
+    tape.mul(x, x)
+    ran = []
+
+    def spy(g):
+        ran.append(g)
+        return (g,)
+
+    for i in (0, 2):
+        op, out, inputs, _ = tape._nodes[i]
+        tape._nodes[i] = (op, out, inputs, spy)
+    (dx,) = backward(tape, loss, [x])
+    np.testing.assert_array_equal(dx, np.ones(3))
+    assert ran == []
+
+
 def test_grad_check_subset_is_seeded_and_bounded():
     rng = np.random.default_rng(0)
     big = rng.normal(size=(30, 30))

@@ -273,3 +273,13 @@ def test_grad_check_command(pipeline, tmp_path, monkeypatch, capsys, ablate, che
     assert seen == [sorted(GATES_AND_EMBEDDINGS + USER_META + ITEM_META)]
     assert errors == literal
     assert f"max relative gradient error: {literal[0]:.3e}" in capsys.readouterr().out
+
+
+def test_grad_check_failure_exits_two(pipeline, tmp_path, monkeypatch, capsys, caplog):
+    import hgcl.cli
+    monkeypatch.setattr(hgcl.cli, "grad_check", lambda builder, inputs, **kwargs: 2e-4)
+    root, _ = pipeline
+    cfg_path = write_config(tmp_path, root / "data" / "manifest.txt", dim=6, rank=2)
+    assert cli_main(["grad-check", "--config", str(cfg_path), "--batch", "8"]) == 2
+    assert "max relative gradient error: 2.000e-04 (threshold 1e-04)" in capsys.readouterr().out
+    assert "gradient check failed" in caplog.text

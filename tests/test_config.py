@@ -1,10 +1,12 @@
 """Config file parsing, validation, and canonical serialization."""
 from dataclasses import replace
+from typing import get_type_hints
 
 import pytest
 
-from hgcl.config import (_SCHEMA, Ablations, Hyperparams, RunConfig, config_from_text,
-                         parse_config, serialize_config, with_ablations, with_seed)
+from hgcl.config import (_KEY_FIELDS, _SECTIONS, Ablations, Hyperparams, RunConfig,
+                         config_from_text, parse_config, serialize_config, with_ablations,
+                         with_seed)
 from hgcl.objectives import LossConfig
 
 SAMPLE = """
@@ -138,12 +140,42 @@ def test_a_bad_value_names_its_file_section_and_key(tmp_path, text, match):
     ("[model]\ndim = 4\nrank = 4\n", "rank"),
     ("[model]\nprecision = f16\n", "precision"),
     ("[model]\ndim = abc\n", r"\[model\] dim"),
-], ids=["section", "key", "rank", "precision", "type"])
+    ("[model]\ndim = 0\n", "dim must be >= 1"),
+    ("[model]\nlayers = 0\n", "layers must be >= 1"),
+    ("[model]\nrank = 0\n", "rank must be >= 1"),
+    ("[train]\nbatch_size = 0\n", "batch_size must be >= 1"),
+    ("[train]\nepochs = 0\n", "epochs must be >= 1"),
+    ("[train]\ntop_k = 0\n", "top_k must be >= 1"),
+    ("[train]\neval_every = 0\n", "eval_every must be >= 1"),
+    ("[train]\nitem_peer_cap = 0\n", "item_peer_cap must be >= 1"),
+    ("[train]\npatience = -1\n", "patience must be >= 0"),
+    ("[loss]\ncl_negatives = some\n", "cl_negatives must be auto, full, or batch"),
+], ids=["section", "key", "rank", "precision", "type", "dim-0", "layers-0", "rank-0",
+        "batch_size-0", "epochs-0", "top_k-0", "eval_every-0", "item_peer_cap-0",
+        "patience-negative", "cl_negatives"])
 def test_config_snapshot_is_checked_like_a_file(text, match):
     # Checkpoints carry their config as text; a corrupt or hand-edited
     # snapshot must fail with the same named errors as a config file.
     with pytest.raises(ValueError, match=match):
         config_from_text(text)
+
+
+def test_each_key_sets_exactly_one_dataclass_field():
+    # The dataclass fields are the only declaration of a key's owner and
+    # type; every leaf field is reachable through exactly one key.
+    owners = {"hyper": Hyperparams, "loss": LossConfig, None: RunConfig}
+    hints = {owner: get_type_hints(cls) for owner, cls in owners.items()}
+    keys = [key for section in _SECTIONS.values() for key in section]
+    assert len(keys) == len(set(keys))
+    for key in keys:
+        name = "ablations" if key == "ablate" else key
+        holders = [owner for owner, fields in hints.items() if name in fields]
+        assert len(holders) == 1, key
+        assert _KEY_FIELDS[key] == (holders[0], name, hints[holders[0]][name])
+    leaves = [(owner, name) for owner, fields in hints.items() for name in fields
+              if not (owner is None and name in owners)]
+    assert len(leaves) == len(keys)
+    assert set(leaves) == {(owner, name) for owner, name, _ in _KEY_FIELDS.values()}
 
 
 def test_rank_must_stay_below_dim():
@@ -172,8 +204,8 @@ def test_temperature_positive():
         cfg.validate()
 
 
-FLOAT_KEYS = [key for keys in _SCHEMA.values() for key, (_, kind) in keys.items()
-              if kind is float]
+FLOAT_KEYS = [key for keys in _SECTIONS.values() for key in keys
+              if _KEY_FIELDS[key][2] is float]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

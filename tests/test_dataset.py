@@ -64,6 +64,17 @@ def test_too_few_items_for_negatives_is_an_error():
         split_leave_one_out([(0, i) for i in range(30)], m=1, n=110, seed=0)
 
 
+@pytest.mark.parametrize("pairs, n, match", [
+    ([(0, 1), (0, 2)], 99, "need more than 99 items, got 99"),
+    ([(0, 1), (0, 120)], 120, r"interaction \(0, 120\) out of range for 2x120"),
+    ([(0, 1), (2, 3)], 120, r"interaction \(2, 3\) out of range for 2x120"),
+    ([(0, 1), (-1, 3)], 120, r"interaction \(-1, 3\) out of range for 2x120"),
+], ids=["too-few-items", "item-past-n", "user-past-m", "negative-user"])
+def test_split_names_unusable_input(pairs, n, match):
+    with pytest.raises(ValueError, match=match):
+        split_leave_one_out(pairs, m=2, n=n, seed=0)
+
+
 def test_negatives_never_intersect_interacted_set():
     rng = np.random.default_rng(0)
     inter = sorted({(int(rng.integers(20)), int(rng.integers(140))) for _ in range(300)})

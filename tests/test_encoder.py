@@ -360,3 +360,9 @@ def test_encode_records_its_nodes_in_a_fixed_order(monkeypatch, layers, ablate):
 
 def test_encode_wires_each_node_to_its_stream(monkeypatch):
     assert encoder_nodes(monkeypatch, 2) == ENCODE_WIRING
+
+
+def test_aggregate_layers_requires_at_least_one_layer():
+    tape = Tape()
+    with pytest.raises(ValueError, match="aggregate_layers needs at least one layer"):
+        aggregate_layers(tape, tape.leaf(np.zeros((2, 2))), [])

@@ -610,3 +610,9 @@ def test_datasets_match_the_set_reference(case, cap, seed):
     assert_same_csr(graph.a_ui, reference_normalize_adjacency(ui, m, n))
     assert_same_csr(graph.a_uu, reference_normalize_adjacency(uu, m, m))
     assert_same_csr(graph.a_ii, reference_normalize_adjacency(ii, n, n))
+
+
+def test_manifest_without_an_item_graph_is_named(tmp_path):
+    man = write(tmp_path, "manifest.txt", "interactions=i.tsv\nsocial=s.tsv\nm=2\nn=2\n")
+    with pytest.raises(ValueError, match=r"manifest\.txt: need item_categories or item_relations"):
+        read_manifest(man)

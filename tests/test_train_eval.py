@@ -235,6 +235,33 @@ def test_nan_loss_aborts_with_last_good_checkpoint(small_manifest, tmp_path, mon
     assert ckpt.params["user_emb"].shape == (60, 16)
 
 
+def test_a_non_finite_epoch_loss_aborts_with_the_initial_checkpoint(small_manifest, tmp_path,
+                                                                    monkeypatch):
+    # Each step's loss gains a constant 1e308 leaf: every step's loss stays
+    # finite and its gradients are unchanged, but the epoch's running sum
+    # overflows at the second batch.
+    import hgcl.trainer as train_mod
+    real = train_mod.forward_model
+
+    def padded(tape, leaves, ops, cfg, batch=None):
+        cache = real(tape, leaves, ops, cfg, batch=batch)
+        return replace(cache, loss=tape.add(cache.loss, tape.leaf(np.asarray(1e308))))
+
+    monkeypatch.setattr(train_mod, "forward_model", padded)
+    cfg = small_config(small_manifest, tmp_path, epochs=3, seed=0)
+    bundle = load_bundle(cfg)
+    assert len(bundle.dataset.train_edges) > cfg.hyper.batch_size  # two batches or more
+    with pytest.raises(RuntimeError, match="non-finite epoch loss at epoch 1; "
+                                           "last-good checkpoint saved"):
+        train(cfg)
+    initial = init_params(bundle.data.m, bundle.data.n, cfg.hyper.dim, cfg.hyper.rank,
+                          train_mod.run_seeds(cfg.hyper.seed).init, cfg.dtype)
+    saved = load_checkpoint(cfg.checkpoint).params
+    assert list(saved) == list(initial)
+    for name, value in initial.items():
+        np.testing.assert_array_equal(saved[name], value)
+
+
 def test_training_step_records_fused_loss_nodes(small_manifest, tmp_path, monkeypatch):
     # BPR and its L2 term are one node each, and the one sum_all is the BPR
     # sum; each contrastive term is one infonce_sum. The two self-gates and
@@ -403,6 +430,46 @@ def test_checkpoint_names_the_file_when_truncated_or_oversized(tmp_path):
     huge.write_bytes(data[:shape_at] + struct.pack("<2Q", 2**32, 2**32) + data[shape_at + 16:])
     with pytest.raises(CheckpointError, match="huge.ckpt: truncated checkpoint"):
         load_checkpoint(huge)
+    long = tmp_path / "long.ckpt"
+    long.write_bytes(data + b"\x00")
+    with pytest.raises(CheckpointError, match="long.ckpt: trailing bytes after parameter arrays"):
+        load_checkpoint(long)
+
+
+def test_checkpoint_writes_any_memory_layout_as_its_c_order_copy(tmp_path):
+    # Transposed, strided, Fortran-ordered and 0-d parameters are stored
+    # byte for byte as their C-contiguous copies, and load back equal.
+    m, n, dim, rank = 5, 7, 4, 2
+    rng = np.random.default_rng(0)
+    params = init_params(m, n, dim, rank, seed=0)
+    params["user_emb"] = rng.standard_normal((dim, m)).T
+    params["item_emb"] = rng.standard_normal((2 * n, 3 * dim))[::2, ::3]
+    params["user_gate_w"] = np.asfortranarray(rng.standard_normal((dim, dim)))
+    assert not any(params[k].flags.c_contiguous for k in ("user_emb", "item_emb", "user_gate_w"))
+    assert params["user_transfer_slope"].ndim == 0
+
+    def save(src, name):
+        save_checkpoint(Checkpoint(m=m, n=n, dim=dim, rank=rank, layers=2, config_text="",
+                                   user_ids=np.arange(m), item_ids=np.arange(n),
+                                   params=src), tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    views = save(params, "views.ckpt")
+    assert views == save({k: v.copy(order="C") for k, v in params.items()}, "copies.ckpt")
+    loaded = load_checkpoint(tmp_path / "views.ckpt").params
+    assert list(loaded) == list(params)
+    for name, value in params.items():
+        assert loaded[name].shape == value.shape
+        np.testing.assert_array_equal(loaded[name], value)
+
+
+def test_evaluate_ranks_refuses_a_dataset_without_test_rows():
+    ds, e_user, e_item = planted_dataset({0: 1})
+    none = np.zeros(0, dtype=np.int64)
+    ds = replace(ds, test_users=none, test_positive=none,
+                 eval_negatives=np.zeros((0, 99), dtype=np.int64))
+    with pytest.raises(ValueError, match="dataset has no evaluation rows"):
+        evaluate_ranks(e_user, e_item, ds)
 
 
 @pytest.mark.parametrize("part, offset", [("config snapshot", 3), ("parameter name", 1)],
