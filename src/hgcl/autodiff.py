@@ -31,12 +31,16 @@ class DiffError(RuntimeError):
 class Tensor:
     """Array tracked on a tape (up to 3 axes; scalars are 0-d arrays)."""
 
-    __slots__ = ("value", "name", "produced")
+    __slots__ = ("value", "name", "node")
 
-    def __init__(self, value: np.ndarray, name: str = ""):
+    def __init__(self, value: np.ndarray, name: str = "", node: int | None = None):
         self.value = value
         self.name = name
-        self.produced = False  # True iff created by a primitive
+        self.node = node  # position of the producing node on its tape; None for a leaf
+
+    @property
+    def produced(self) -> bool:
+        return self.node is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,14 +94,16 @@ def _scatter_rows(shape: tuple[int, ...], idx: np.ndarray, rows: np.ndarray) -> 
 class Tape:
     """Single-owner record of one forward pass.
 
-    :func:`backward` seals the tape: recording after it is an error. A tape
-    made with ``record=False`` keeps no node, so a forward that is never
-    differentiated frees each intermediate once it drops it; ``backward`` and
-    ``inputs`` refuse such a tape.
+    A node names its output and each produced input by tape position, and a
+    leaf input by its ``Tensor``: the tape keeps alive only the leaves and the
+    values that VJPs captured. :func:`backward` seals the tape: recording
+    after it is an error. A tape made with ``record=False`` keeps no node, so
+    a forward that is never differentiated frees each intermediate once it
+    drops it; ``backward`` and ``inputs`` refuse such a tape.
     """
 
     def __init__(self, record: bool = True):
-        self._nodes: list[tuple] = []  # (op name, output, inputs, vjp)
+        self._nodes: list[tuple] = []  # (op name, position, input refs, vjp)
         self._record = record
         self._sealed = False
 
@@ -105,18 +111,17 @@ class Tape:
         return Tensor(np.asarray(value), name=name)
 
     def inputs(self) -> set[Tensor]:
-        """Every tensor that a recorded node has taken as an input."""
+        """Every leaf that a recorded node has taken as an input."""
         if not self._record:
             raise DiffError("an unrecorded tape has no inputs")
-        return {t for _, _, inputs, _ in self._nodes for t in inputs}
+        return {t for _, _, inputs, _ in self._nodes for t in inputs if isinstance(t, Tensor)}
 
     def _emit(self, op: str, value: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
         if self._sealed:
             raise DiffError("cannot record a primitive on a tape after backward")
-        out = Tensor(value)
-        out.produced = True
+        out = Tensor(value, node=len(self._nodes))
         if self._record:
-            self._nodes.append((op, out, inputs, vjp))
+            self._nodes.append((op, out.node, tuple(t.node if t.produced else t for t in inputs), vjp))
         return out
 
     # -- elementwise / scalar assembly ------------------------------------
@@ -183,10 +188,10 @@ class Tape:
     def concat_columns(self, *parts: Tensor) -> Tensor:
         if len(parts) < 2:
             raise ValueError("concat_columns needs at least two parts")
-        rows = parts[0].value.shape[0]
-        for p in parts:
-            if p.value.ndim != 2 or p.value.shape[0] != rows:
-                raise ValueError("concat_columns: row counts differ")
+        if any(p.value.ndim != 2 for p in parts):
+            raise ValueError(f"concat_columns expects 2-d parts, got {[p.shape for p in parts]}")
+        if len({p.value.shape[0] for p in parts}) > 1:
+            raise ValueError("concat_columns: row counts differ")
         widths = [p.value.shape[1] for p in parts]
         splits = np.cumsum(widths)[:-1]
 
@@ -357,13 +362,14 @@ def backward(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | N
     None for a leaf that ``loss`` does not reach.
 
     No gradient is stored on a tensor. Pending gradients live in a dict local
-    to this call, and each is dropped as soon as its node's VJP has consumed
-    it. Gradients add up when a tensor feeds several nodes; leaves outside
-    ``wrt`` get none. A tensor's first gradient is the array a VJP returned,
-    which other tensors may share (``add`` returns ``g`` twice,
-    ``concat_columns`` views of it), so no VJP nor caller such as
-    ``adam_step`` may write to a gradient. Only ``backward`` writes, and only
-    into the array it built for a tensor's second contribution.
+    to this call, keyed by node position (a leaf by its ``Tensor``), and each
+    is dropped as soon as its node's VJP has consumed it. Gradients add up
+    when a tensor feeds several nodes; leaves outside ``wrt`` get none. A
+    tensor's first gradient is the array a VJP returned, which other tensors
+    may share (``add`` returns ``g`` twice, ``concat_columns`` views of it), so
+    no VJP nor caller such as ``adam_step`` may write to a gradient. Only
+    ``backward`` writes, and only into the array it built for a tensor's
+    second contribution.
 
     Finiteness is checked once, on the returned gradients; if one is
     non-finite the pass is replayed checking every VJP output, so that the
@@ -380,14 +386,14 @@ def backward(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | N
     tape._sealed = True
     leaves = set(wrt)
     for checked in (False, True):
-        pending = {loss: np.asarray(1.0, dtype=loss.value.dtype)}
-        owned: set[Tensor] = set()
+        pending = {loss.node if loss.produced else loss: np.asarray(1.0, dtype=loss.value.dtype)}
+        owned: set[int | Tensor] = set()
         for op, out, inputs, vjp in reversed(tape._nodes):
             og = pending.pop(out, None)
             if og is None:
                 continue
             for t, g in zip(inputs, vjp(og)):
-                if not t.produced and t not in leaves:
+                if isinstance(t, Tensor) and t not in leaves:
                     continue
                 if checked and not np.isfinite(g).all():
                     raise DiffError(f"non-finite gradient produced by primitive '{op}'")
@@ -401,6 +407,18 @@ def backward(tape: Tape, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | N
         grads = [pending.get(t) for t in wrt]
         if checked or all(g is None or np.isfinite(g).all() for g in grads):
             return grads
+
+
+class _SignTape(Tape):
+    """A tape that records the sign pattern of every ``prelu`` input, in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.signs: list[bytes] = []
+
+    def prelu(self, x: Tensor, slope: Tensor) -> Tensor:
+        self.signs.append((x.value > 0).tobytes())
+        return super().prelu(x, slope)
 
 
 def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
@@ -421,16 +439,14 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
     arrays = {k: np.asarray(v, dtype=np.float64) for k, v in inputs.items()}
 
     def run(value_map, with_grads):
-        tape = Tape()
+        tape = _SignTape()
         tensors = {k: tape.leaf(v, name=k) for k, v in value_map.items()}
         loss = builder(tape, tensors)
         if loss.value.shape != ():
             raise DiffError("grad_check requires a scalar loss")
-        signs = tuple((inputs[0].value > 0).tobytes()
-                      for op, _, inputs, _ in tape._nodes if op == "prelu")
         if with_grads:
-            return dict(zip(tensors, backward(tape, loss, list(tensors.values())))), signs
-        return float(loss.value), signs
+            return dict(zip(tensors, backward(tape, loss, list(tensors.values())))), tape.signs
+        return float(loss.value), tape.signs
 
     grads, _ = run(arrays, True)
     keys = sorted(k for k in arrays if grads[k] is not None)
@@ -448,14 +464,11 @@ def grad_check(builder, inputs: dict[str, np.ndarray], eps: float = 1e-5,
         which = int(np.searchsorted(offsets, gc, side="right") - 1)
         key = keys[which]
         local = int(gc - offsets[which])
-        probes = []
-        sigs = []
+        probes, sigs = [], []
         for delta in (eps, -eps):
-            work = {k: v for k, v in arrays.items()}
             pert = arrays[key].copy()
             pert.flat[local] += delta
-            work[key] = pert
-            val, sg = run(work, False)
+            val, sg = run({**arrays, key: pert}, False)
             probes.append(val)
             sigs.append(sg)
         if sigs[0] != sigs[1]:

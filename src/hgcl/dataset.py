@@ -72,18 +72,21 @@ def split_leave_one_out(interactions: np.ndarray, m: int, n: int,
     rng = np.random.default_rng(seed)
     test_users = np.flatnonzero(degrees >= 2)
     held = np.empty(len(test_users), dtype=np.int64)
-    negatives = np.empty((len(test_users), N_EVAL_NEGATIVES), dtype=np.int64)
-    for row, u in enumerate(test_users):
-        start, deg = starts[u], degrees[u]
-        held[row] = start + rng.integers(deg)
+    draws = np.empty((len(test_users), N_EVAL_NEGATIVES), dtype=np.int64)
+    for row, (u, deg) in enumerate(zip(test_users, degrees[test_users])):
+        held[row] = rng.integers(deg)
         if n - deg < N_EVAL_NEGATIVES:
             raise ValueError(f"user {u}: only {n - deg} non-interacted items, "
                              f"need {N_EVAL_NEGATIVES}")
-        # Draw indices into the user's ascending never-interacted items. Item j
-        # has gaps[j] of those below it, so index k is item k + #(gaps <= k).
-        k = np.sort(rng.choice(n - deg, size=N_EVAL_NEGATIVES, replace=False))
-        gaps = items[start:start + deg] - np.arange(deg)
-        negatives[row] = k + np.searchsorted(gaps, k, side="right")
+        draws[row] = rng.choice(n - deg, size=N_EVAL_NEGATIVES, replace=False)
+    held += starts[test_users]
+    # A draw k indexes the user's ascending never-interacted items; its item j
+    # has gaps[j] = items[j] - j of those below it, so k is item k + #(gaps <= k).
+    # Offsetting user u's gaps and draws by u * n counts for all in one search.
+    draws.sort(axis=1)
+    gap_keys = keys - np.arange(len(keys)) + np.repeat(starts, degrees)
+    below = np.searchsorted(gap_keys, draws + test_users[:, None] * n, side="right")
+    negatives = draws + below - starts[test_users][:, None]
     skipped = np.count_nonzero(degrees == 1)
     if skipped:
         log.info("split: %d user(s) with < 2 interactions kept train-only", skipped)

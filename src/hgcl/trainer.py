@@ -202,10 +202,11 @@ def train(cfg: RunConfig, *, write_outputs: bool = True) -> TrainResult:
             totals["bpr"] += float(cache.bpr.value)
             totals["cl_user"] += float(cache.cl_user.value) if cache.cl_user is not None else 0.0
             totals["cl_item"] += float(cache.cl_item.value) if cache.cl_item is not None else 0.0
-        # Evaluation must not hold the last step's tape. Steps keep theirs until
-        # the next one replaces it: freeing it as a step ends lets malloc trim
-        # the heap, which the next step then page-faults back in.
-        del tape, leaves, cache, grads
+            # The cache would live through the next forward. The gradients stay:
+            # freeing them as a step ends lets malloc trim the heap, which the
+            # next step then page-faults back in.
+            del cache
+        del tape, leaves, grads  # evaluation must not hold the last step's tape
         epoch_seconds.append(time.perf_counter() - started)
         record = {"epoch": epoch, **{k: v / n_batches for k, v in totals.items()}}
 

@@ -88,6 +88,15 @@ def test_prelu_kink_coordinate_excluded():
     assert err < 1e-10
 
 
+def test_prelu_kink_of_a_produced_input_is_excluded():
+    # The prelu input here is a primitive's output, which the tape refers to
+    # by position only; the checker must still see its sign flip at x = 0.
+    def build(tape, ts):
+        return tape.sum_all(tape.prelu(tape.scale(ts["x"], 1.0), tape.leaf(np.asarray(0.25))))
+
+    assert grad_check(build, {"x": np.array([0.0, 1.0, -1.0])}) < 1e-10
+
+
 def test_composite_graph_matches_finite_differences():
     rng = np.random.default_rng(7)
     adj = SparseMatrix(sp.random(5, 6, density=0.6, random_state=11, format="csr"))
@@ -180,11 +189,12 @@ def test_every_vjp_returns_the_dtype_of_its_inputs():
     for name, op in PRIMITIVE_BUILDERS.items():
         tape = Tape()
         a, b = (tape.leaf(rng.uniform(-2, 2, (4, 4)).astype(np.float32)) for _ in range(2))
-        op(tape, a, b)
-        for prim, out, inputs, vjp in tape._nodes:
-            recorded.add(prim)
-            grads = vjp(np.ones_like(out.value))
-            assert [g.dtype for g in grads] == [np.float32] * len(inputs), f"{name}: {prim}"
+        out = op(tape, a, b)
+        [(prim, pos, inputs, vjp)] = tape._nodes
+        assert pos == out.node == 0
+        recorded.add(prim)
+        grads = vjp(np.ones_like(out.value))
+        assert [g.dtype for g in grads] == [np.float32] * len(inputs), f"{name}: {prim}"
     assert recorded == _recording_primitives()
 
 
@@ -632,8 +642,8 @@ def test_a_non_finite_upstream_gradient_reaches_an_input(name, dtype):
     rng = np.random.default_rng(1)
     tape = Tape()
     a, b = (tape.leaf(rng.uniform(-2, 2, (4, 4)).astype(dtype)) for _ in range(2))
-    PRIMITIVE_BUILDERS[name](tape, a, b)
-    op, out, inputs, vjp = tape._nodes[-1]
+    out = PRIMITIVE_BUILDERS[name](tape, a, b)
+    op, _, inputs, vjp = tape._nodes[out.node]
     empty_rows = set(np.flatnonzero(np.diff(SPMM_ADJ.indptr) == 0)) if op == "spmm" else set()
     for pos in np.ndindex(out.value.shape):
         for bad in (np.nan, np.inf, -np.inf):
@@ -795,6 +805,10 @@ MISUSE = {
     "concat_columns-rows": (lambda t: t.concat_columns(t.leaf(np.ones((2, 2))),
                                                        t.leaf(np.ones((3, 2)))),
                             ValueError, "concat_columns: row counts differ"),
+    "concat_columns-1d": (lambda t: t.concat_columns(t.leaf(np.ones((2, 2))), t.leaf(np.ones(2))),
+                          ValueError, r"concat_columns expects 2-d parts, got \[\(2, 2\), \(2,\)\]"),
+    "concat_columns-0d-first": (lambda t: t.concat_columns(t.leaf(np.ones(())), t.leaf(np.ones((1, 2)))),
+                                ValueError, "concat_columns expects 2-d parts"),
     "prelu-slope": (lambda t: t.prelu(t.leaf(np.ones((2, 2))), t.leaf(np.ones(1))),
                     ValueError, "prelu slope must be a scalar tensor"),
     "row_l2_normalize-1d": (lambda t: t.row_l2_normalize(t.leaf(np.ones(3))),

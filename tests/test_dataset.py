@@ -111,6 +111,40 @@ def pool_split(interactions, m, n, seed):
             np.array(negatives, dtype=np.int64).reshape(-1, 99))
 
 
+def loop_negatives(interactions, m, n, seed):
+    """Reference evaluation negatives, mapped one user at a time: sorted indices
+    into the user's never-interacted items, index k being item k + #(gaps <= k)."""
+    keys = np.unique(interactions[:, 0] * n + interactions[:, 1])
+    users, items = keys // n, keys % n
+    degrees = np.bincount(users, minlength=m)
+    starts = np.cumsum(degrees) - degrees
+    rng = np.random.default_rng(seed)
+    out = []
+    for u in np.flatnonzero(degrees >= 2):
+        start, deg = starts[u], degrees[u]
+        rng.integers(deg)  # the held-out positive's draw
+        k = np.sort(rng.choice(n - deg, size=99, replace=False))
+        gaps = items[start:start + deg] - np.arange(deg)
+        out.append(k + np.searchsorted(gaps, k, side="right"))
+    return np.array(out, dtype=np.int64).reshape(-1, 99)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_negatives_match_the_per_user_loop_form(seed):
+    # Many users, from one interaction up to only 99 never-interacted items,
+    # with repeats and unsorted rows; item n - 1 and item 0 are both interacted.
+    rng = np.random.default_rng(seed)
+    m, n = 300, 420
+    degrees = rng.integers(1, n - 98, size=m)
+    pairs = np.concatenate([np.stack([np.full(d, u), rng.choice(n, d, replace=False)], axis=1)
+                            for u, d in enumerate(degrees)] + [[[0, 0], [1, n - 1], [0, 0]]])
+    pairs = pairs[rng.permutation(len(pairs))]
+    ds = split_leave_one_out(pairs, m, n, seed=seed)
+    want = loop_negatives(pairs, m, n, seed)
+    assert ds.eval_negatives.dtype == want.dtype and len(want) > 250
+    np.testing.assert_array_equal(ds.eval_negatives, want)
+
+
 @st.composite
 def split_inputs(draw):
     """Unsorted, duplicated pairs over users with one item or more, and maybe

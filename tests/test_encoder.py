@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hgcl.model
-from hgcl.autodiff import SparseMatrix, Tape
+from hgcl.autodiff import SparseMatrix, Tape, Tensor
 from hgcl.config import Ablations, Hyperparams, RunConfig
 from hgcl.encoder import (aggregate_layers, build_graph_operators, encode, fuse_views,
                           self_gate)
@@ -339,8 +339,11 @@ def encoder_nodes(monkeypatch, layers, ablate=None):
     def recording(tape, *args, **kwargs):
         start = len(tape._nodes)
         out = encode(tape, *args, **kwargs)
-        index = {id(node[1]): str(k) for k, node in enumerate(tape._nodes[start:])}
-        nodes.extend(f"{op}({','.join(index.get(id(x), x.name) for x in inputs)})"
+
+        def name(x):  # a node holds a leaf input as its Tensor, a produced one by position
+            return x.name if isinstance(x, Tensor) else str(x - start)
+
+        nodes.extend(f"{op}({','.join(map(name, inputs))})"
                      for op, _, inputs, _ in tape._nodes[start:])
         return out
 

@@ -50,8 +50,21 @@ def model_cfg(dim=4, rank=2, abl=Ablations(), loss_cfg=None) -> RunConfig:
     return RunConfig(hyper=hyper, loss=loss_cfg or LossConfig(), ablations=abl)
 
 
-def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None):
-    tape = Tape()
+class KeepingTape(Tape):
+    """A tape that also keeps each output it records, at its node's position."""
+
+    def __init__(self):
+        super().__init__()
+        self.outputs = []
+
+    def _emit(self, *args):
+        out = super()._emit(*args)
+        self.outputs.append(out)
+        return out
+
+
+def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, tape=None):
+    tape = Tape() if tape is None else tape
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
     cache = forward_model(tape, leaves, ops, model_cfg(abl=abl, loss_cfg=loss_cfg), batch=batch)
     return tape, leaves, cache
@@ -312,7 +325,7 @@ def test_backward_keeps_no_intermediate_gradient():
     # scalar nodes receive, cannot be weakly referenced and are skipped.)
     graph, params, ops = tiny_setup()
     keys = list(params)
-    tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16))
+    tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16), tape=KeepingTape())
     calls, received = [], []
 
     def watched(op, vjp):
@@ -326,10 +339,49 @@ def test_backward_keeps_no_intermediate_gradient():
     wrap_vjps(tape, watched)
     grads = backward(tape, cache.loss, [leaves[k] for k in keys])
     assert len(calls) == len(tape._nodes)
-    assert len(received) >= sum(out.value.ndim > 0 for _, out, _, _ in tape._nodes)
+    assert len(received) >= sum(out.value.ndim > 0 for out in tape.outputs)
     returned = {id(a) for g in grads for a in (g, g.base) if a is not None}
     kept = [op for op, ref in received if ref() is not None and id(ref()) not in returned]
     assert kept == []
+
+
+def test_a_recorded_tape_keeps_no_value_that_no_vjp_reads(monkeypatch):
+    # A node refers to a produced input by position, so the tape does not keep
+    # the spmm layer outputs or aggregate_layers' partial sums alive: no VJP
+    # captures them, and each dies once the forward code drops it.
+    import hgcl.encoder as encoder_mod
+    graph, params, ops = tiny_setup()
+    real_spmm, real_add, real_aggregate = Tape.spmm, Tape.add, encoder_mod.aggregate_layers
+    spmm_outputs, partial_sums, aggregating = [], [], []
+
+    def spmm(tape, adj, x):
+        out = real_spmm(tape, adj, x)
+        spmm_outputs.append(weakref.ref(out.value))
+        return out
+
+    def add(tape, a, b):
+        out = real_add(tape, a, b)
+        if aggregating:
+            aggregating[-1].append(weakref.ref(out.value))
+        return out
+
+    def aggregate_layers(tape, e0, layers):
+        aggregating.append([])
+        out = real_aggregate(tape, e0, layers)
+        *partial, last = aggregating.pop()
+        assert last() is out.value
+        partial_sums.extend(partial)
+        return out
+
+    monkeypatch.setattr(Tape, "spmm", spmm)
+    monkeypatch.setattr(Tape, "add", add)
+    monkeypatch.setattr(encoder_mod, "aggregate_layers", aggregate_layers)
+    tape, leaves, cache = run_forward(params, ops, batch=batch_for(6, 8, 16))
+    # Two layers of two view and two auxiliary hops, then one neighbour sum per
+    # side; four aggregations of two layers each.
+    assert (len(spmm_outputs), len(partial_sums)) == (10, 4)
+    assert tape._nodes and cache.loss is not None
+    assert [ref() for ref in spmm_outputs + partial_sums] == [None] * 14
 
 
 # Users {0, 1, 3} and items {0, 1, 2, 4, 5}: a strict subset of each side at
@@ -410,9 +462,9 @@ def test_batch_rows_only_training_runs_the_transfer_on_the_batch_rows():
     rows = {"user": len(np.unique(users)), "item": len(np.unique(np.concatenate([pos, neg])))}
     assert rows == {"user": 3, "item": 5}  # fewer than the 6 users and 8 items
     tape, _, cache = run_forward(params, ops, batch=SUBSET_BATCH,
-                                 loss_cfg=LossConfig(cl_negatives="batch"))
+                                 loss_cfg=LossConfig(cl_negatives="batch"), tape=KeepingTape())
     heights = {}
-    for op, out, _, _ in tape._nodes:
+    for (op, *_), out in zip(tape._nodes, tape.outputs, strict=True):
         if op in ("prelu", "lowrank_apply", "concat_columns"):
             heights.setdefault(op, []).append(out.value.shape[0])
     assert {op: len(h) for op, h in heights.items()} == {
@@ -432,8 +484,9 @@ def test_training_tape_records_no_dead_node(negatives, ablation):
     ops = build_graph_operators(graph, np.float64, no_uu=abl.no_uu, no_ii=abl.no_ii)
     tape, _, cache = run_forward(params, ops, abl=abl, batch=SUBSET_BATCH,
                                  loss_cfg=LossConfig(cl_negatives=negatives))
-    read = {id(t) for _, _, inputs, _ in tape._nodes for t in inputs}
-    dead = [op for op, out, _, _ in tape._nodes if id(out) not in read and out is not cache.loss]
+    # A produced input is its node's position; a leaf input is its Tensor.
+    read = {t for _, _, inputs, _ in tape._nodes for t in inputs if isinstance(t, int)}
+    dead = [op for op, pos, _, _ in tape._nodes if pos not in read and pos != cache.loss.node]
     assert dead == []
 
 
