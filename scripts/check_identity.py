@@ -13,10 +13,11 @@ item order reverses), social lines repeat reversed and with self-loops, some
 items gain a second category or lose theirs, and comment lines, blank lines
 and extra fields are mixed in. Its two manifests name an item-category file
 and an item-relation file (consecutive items of each category). For each of
-28 trainings (on the first dataset: f64 and f32, ``full`` and ``batch``
+30 trainings (on the first dataset: f64 and f32, ``full`` and ``batch``
 contrastive negatives, no ablation and ``--ablate meta|uu|ii|cl``, all at the
 default temperature; then, with ``full`` negatives, f32 at temperature 0.01
-and f64 at 0.002, and f64 with 1 and with 3 encoder layers; on each manifest
+and f64 at 0.002, and f64 with 1 and with 3 encoder layers; f32 ``batch`` with
+1 and with 3 encoder layers; on each manifest
 of the second, f64 ``full`` and f32 ``batch``; 10 epochs, batch 512, and 2
 encoder layers unless stated) both sides run ``hgcl train`` from the same
 directory with the same config,
@@ -70,6 +71,9 @@ RUNS = [(precision, negatives, ablation, None, SYNTHETIC, 2)
 RUNS += [("f32", "full", None, 0.01, SYNTHETIC, 2), ("f64", "full", None, 0.002, SYNTHETIC, 2)]
 # 1 and 3 layers reach the fusion's edges: none at all, and fusion twice.
 RUNS += [("f64", "full", None, None, SYNTHETIC, layers) for layers in (1, 3)]
+# With ``batch`` negatives the last layer runs on the batch's rows: as the
+# first layer, and after two fusions.
+RUNS += [("f32", "batch", None, None, SYNTHETIC, layers) for layers in (1, 3)]
 RUNS += [(precision, negatives, None, None, manifest, 2) for manifest in DERIVED
          for precision, negatives in (("f64", "full"), ("f32", "batch"))]
 # The trainings after which grad-check runs on the same config.

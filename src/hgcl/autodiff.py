@@ -71,6 +71,16 @@ class SparseMatrix:
         out.mat, out.mat_t = self.mat_t, self.mat
         return out
 
+    def at_rows(self, rows: np.ndarray | None) -> "SparseMatrix":
+        """The operand's sorted ``rows``, all of it when None. The transpose is a
+        CSC view, which spmm sums in a sorted CSR copy's order, bit for bit."""
+        if rows is None:
+            return self
+        out = SparseMatrix.__new__(SparseMatrix)
+        out.mat = self.mat[rows]
+        out.mat_t = out.mat.T
+        return out
+
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; the numerator is exactly 1 or e by sign, picked

@@ -49,7 +49,8 @@ def build_graph_operators(graph, dtype, *, no_uu: bool = False, no_ii: bool = Fa
 
 
 def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, gates: list[tuple[Tensor, Tensor] | None],
-           ops: GraphOperators, n_layers: int) -> tuple[tuple[Tensor, Tensor | None], ...]:
+           ops: GraphOperators, n_layers: int,
+           rows=((None, None), (None, None))) -> tuple[tuple[Tensor, Tensor | None], ...]:
     """Run the full multi-layer encoding of all active streams.
 
     ``gates`` holds each side's self-gate ``(weight, bias)`` in (user, item)
@@ -64,10 +65,12 @@ def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, gates: list[tuple[Tensor, Ten
     auxiliary stream and the fusion step.
 
     Returns each side's aggregated ``(view, auxiliary)`` pair in (user, item)
-    order, the auxiliary None where its graph is ablated away. The node order
+    order, the auxiliary None where its graph is ablated away, at the sorted
+    node indices ``rows`` gives in the same shape (None: every node); the last
+    layer and the aggregation are row-local and run only there. The node order
     (both interaction hops, then each side's auxiliary hop and fusion; all view
-    aggregations before the auxiliary ones) fixes how gradients add up, so
-    reordering it changes the trained bits.
+    aggregations, each after its row gathers, before the auxiliary ones) fixes
+    how gradients add up, so reordering it changes the trained bits.
     """
     if n_layers < 1:
         raise ValueError("need at least one propagation layer")
@@ -78,15 +81,24 @@ def encode(tape: Tape, e_u0: Tensor, e_i0: Tensor, gates: list[tuple[Tensor, Ten
     x, aux = list(view0), list(aux0)
     view_layers, aux_layers = ([], []), ([], [])  # each side's per-layer outputs
     for layer in range(1, n_layers + 1):
-        x = [tape.spmm(ops.ui, x[1]), tape.spmm(ops.ui.T, x[0])]
+        at = rows if layer == n_layers else ((None, None), (None, None))
+        x = [tape.spmm(ops.ui.at_rows(at[0][0]), x[1]),
+             tape.spmm(ops.ui.T.at_rows(at[1][0]), x[0])]
         for side, adj in enumerate(adjs):
             view_layers[side].append(x[side])
             if adj is not None:
-                aux[side] = tape.spmm(adj, aux[side])
+                aux[side] = tape.spmm(adj.at_rows(at[side][1]), aux[side])
                 aux_layers[side].append(aux[side])
                 if layer < n_layers:
                     x[side] = fuse_views(tape, x[side], aux[side])
-    views = [aggregate_layers(tape, e0, out) for e0, out in zip(view0, view_layers)]
-    auxes = [None if e0 is None else aggregate_layers(tape, e0, out)
-             for e0, out in zip(aux0, aux_layers)]
+
+    def aggregate(e0, layers, keep):
+        if keep is not None:  # the last layer holds only the kept rows already
+            e0, *earlier = (tape.gather_rows(t, keep) for t in (e0, *layers[:-1]))
+            layers = [*earlier, layers[-1]]
+        return aggregate_layers(tape, e0, layers)
+
+    views = [aggregate(e0, out, keep) for e0, out, (keep, _) in zip(view0, view_layers, rows)]
+    auxes = [None if e0 is None else aggregate(e0, out, keep)
+             for e0, out, (_, keep) in zip(aux0, aux_layers, rows)]
     return tuple(zip(views, auxes))

@@ -60,9 +60,9 @@ class ForwardCache:
     """A forward pass's tensors. ``transforms`` holds each side's personalized
     transforms in ``SIDES`` order (user, item), None where the side has no
     transfer. With a batch, a side whose contrastive pool is not ``full`` has
-    ``e_*_final`` and its transforms only at the rows its loss terms read (the
-    batch's users, or its positive and negative items), in sorted node order;
-    otherwise they hold every node."""
+    ``e_*_final`` and its transforms only at its loss rows, the rows its loss
+    terms read (the batch's users, or its positive and negative items), in
+    sorted node order; otherwise they hold every node."""
 
     transforms: tuple[PersonalTransforms | None, PersonalTransforms | None]
     e_u_final: Tensor
@@ -93,35 +93,47 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
                   batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardCache:
     """Encode, transfer, fuse, and (when a batch is given) assemble the loss.
 
-    Transfer and fusion are row-local, so with a batch a side whose contrastive
-    pool is not ``full`` runs them only on the rows its loss terms read; the
-    other rows would get a zero gradient. The L2 term takes, in ``leaves``
-    order, every leaf the forward has read other than the PReLU slopes: an
-    ablated component's parameters are not read, so they get neither the
-    penalty nor a gradient.
+    With a batch, a side whose contrastive pool is not ``full`` runs transfer
+    and fusion only at its loss rows, the sorted nodes its loss terms read; the
+    other rows would get a zero gradient. The encoder gives its auxiliary output
+    at those rows, and its view there plus at the neighbours that the other
+    side's meta context sums, or at every node if that context reads every row.
+    The L2 term takes, in ``leaves`` order, every leaf the forward has read
+    other than the PReLU slopes: an ablated component's parameters are not
+    read, so they get neither the penalty nor a gradient.
     """
     hp = cfg.hyper
-    encoded = encode(tape, leaves["user_emb"], leaves["item_emb"],
-                     [(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"]) for side in SIDES],
-                     ops, hp.layers)
     pools = cl_negative_pools(ops, cfg)
-    rows = (None, None)
+    incidences = (ops.inc_ui, ops.inc_ui.T)
+    metas = [adj is not None and not cfg.ablations.no_meta for adj in (ops.uu, ops.ii)]
+    rows = view_rows = (None, None)
     if batch is not None:
         users, pos, neg = batch
         rows = tuple(None if pool == "full" else np.unique(idx)
                      for pool, idx in zip(pools, (users, np.concatenate([pos, neg]))))
+        view_rows = tuple(  # a bincount's nonzero bins: np.union1d, only faster
+            side_rows if side_rows is None or not other_meta else None if other_rows is None else
+            np.flatnonzero(np.bincount(np.concatenate(
+                [side_rows, incidence.mat[other_rows].indices]), minlength=count))
+            for side_rows, count, other_rows, other_meta, incidence in zip(
+                rows, ops.ui.shape, rows[::-1], metas[::-1], incidences[::-1]))
+    encoded = encode(tape, leaves["user_emb"], leaves["item_emb"],
+                     [(leaves[f"{side}_gate_w"], leaves[f"{side}_gate_b"]) for side in SIDES],
+                     ops, hp.layers, tuple(zip(view_rows, rows)))
 
     # Per side: the view, auxiliary and transferred auxiliary embeddings at its
-    # rows (every node when None), and its transforms.
+    # loss rows (every node when None), and its transforms.
     streams, transforms = [], []
-    for side, side_rows, (e_view, e_aux), (e_other, _), incidence in zip(
-            SIDES, rows, encoded, encoded[::-1], (ops.inc_ui, ops.inc_ui.T)):
-        if side_rows is not None:
-            e_view = tape.gather_rows(e_view, side_rows)
-            e_aux = None if e_aux is None else tape.gather_rows(e_aux, side_rows)
-            incidence = SparseMatrix(incidence.mat[side_rows])
+    for s, side in enumerate(SIDES):
+        (e_view, e_aux), (e_other, _) = encoded[s], encoded[1 - s]
+        side_rows, other_rows, incidence = rows[s], view_rows[1 - s], incidences[s]
+        if side_rows is not None and e_view.shape[0] > len(side_rows):
+            e_view = tape.gather_rows(e_view, side_rows if view_rows[s] is None
+                                      else np.searchsorted(view_rows[s], side_rows))
         tr = e_aux_m = None
-        if e_aux is not None and not cfg.ablations.no_meta:
+        if metas[s]:
+            incidence = (incidence.at_rows(side_rows) if other_rows is None  # else columns too
+                         else SparseMatrix(incidence.mat[side_rows][:, other_rows]))
             knowledge = extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other)
             tr = generate_transforms(tape, knowledge, _mlp(leaves, f"{side}_mlp1"),
                                      _mlp(leaves, f"{side}_mlp2"))

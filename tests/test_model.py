@@ -63,10 +63,11 @@ class KeepingTape(Tape):
         return out
 
 
-def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, tape=None):
+def run_forward(params, ops, abl=Ablations(), batch=None, loss_cfg=None, tape=None, cfg=None):
     tape = Tape() if tape is None else tape
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    cache = forward_model(tape, leaves, ops, model_cfg(abl=abl, loss_cfg=loss_cfg), batch=batch)
+    cfg = cfg or model_cfg(abl=abl, loss_cfg=loss_cfg)
+    cache = forward_model(tape, leaves, ops, cfg, batch=batch)
     return tape, leaves, cache
 
 
@@ -472,6 +473,105 @@ def test_batch_rows_only_training_runs_the_transfer_on_the_batch_rows():
     assert all(h in rows.values() for hs in heights.values() for h in hs), heights
     assert cache.e_u_final.value.shape[0] == rows["user"]
     assert cache.e_i_final.value.shape[0] == rows["item"]
+
+
+def restricted_step(monkeypatch, negatives, limit, layers, ablation):
+    """A 200 x 300 model with ``FULL_NEGATIVES_LIMIT`` set to ``limit``, and a
+    12-triple batch whose rows are a strict subset of each side."""
+    monkeypatch.setattr(objectives, "FULL_NEGATIVES_LIMIT", limit)
+    graph, params, _ = tiny_setup(m=200, n=300, seed=3)
+    abl = Ablations.from_names([ablation] if ablation else [])
+    ops = build_graph_operators(graph, np.float64, no_uu=abl.no_uu, no_ii=abl.no_ii)
+    hyper = Hyperparams(dim=4, layers=layers, rank=2, alpha_user=0.8, alpha_item=0.8)
+    cfg = RunConfig(hyper=hyper, loss=LossConfig(cl_negatives=negatives), ablations=abl)
+    return graph, params, ops, cfg, batch_for(200, 300, 12, seed=layers)
+
+
+# Both pools ``batch``, and user ``full`` with item ``batch`` (200 users <= 250
+# < 300 items), the benchmark's fullcl_4k shape.
+@pytest.mark.parametrize("negatives,limit", [("batch", objectives.FULL_NEGATIVES_LIMIT),
+                                             ("auto", 250)])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("ablation", [None, "meta", "uu", "ii"])
+def test_a_row_restricted_step_matches_the_all_rows_forward_bit_for_bit(
+        monkeypatch, negatives, limit, layers, ablation):
+    graph, params, ops, cfg, batch = restricted_step(monkeypatch, negatives, limit, layers,
+                                                     ablation)
+    pools = cl_negative_pools(ops, cfg)
+    assert "full" not in pools or limit == 250
+    _, _, cache = run_forward(params, ops, batch=batch, cfg=cfg)
+    e_user, e_item = compute_final_embeddings(params, ops, cfg)
+    users, pos, neg = batch
+    for got, every, pool, idx in ((cache.e_u_final, e_user, pools[0], users),
+                                  (cache.e_i_final, e_item, pools[1], np.concatenate([pos, neg]))):
+        want = every if pool == "full" else every[np.unique(idx)]
+        assert got.value.tobytes() == want.tobytes(), pool
+
+    def build(tape, ts):
+        return forward_model(tape, ts, ops, cfg, batch=batch).loss
+
+    assert grad_check(build, params, max_coords=30, seed=0) < 1e-4
+
+
+def encoded_row_counts(monkeypatch, ops, run):
+    """Per ``encode`` call while ``run()`` runs: the row counts of its last
+    layer's ``spmm`` outputs, and of every ``row_l2_normalize`` input."""
+    import hgcl.model as model_mod
+    real_encode, real_spmm, real_norm = model_mod.encode, Tape.spmm, Tape.row_l2_normalize
+    calls, inside = [], []
+
+    def encode(*args, **kwargs):
+        calls.append(([], []))
+        inside.append(True)
+        out = real_encode(*args, **kwargs)
+        inside.pop()
+        return out
+
+    def spmm(tape, adj, x):
+        out = real_spmm(tape, adj, x)
+        if inside:
+            calls[-1][0].append(len(out.value))
+        return out
+
+    def row_l2_normalize(tape, x):
+        if inside:
+            calls[-1][1].append(len(x.value))
+        return real_norm(tape, x)
+
+    monkeypatch.setattr(model_mod, "encode", encode)
+    monkeypatch.setattr(Tape, "spmm", spmm)
+    monkeypatch.setattr(Tape, "row_l2_normalize", row_l2_normalize)
+    run()
+    hops = 2 + sum(adj is not None for adj in (ops.uu, ops.ii))  # per layer
+    return [(spmms[-hops:], norms) for spmms, norms in calls]
+
+
+@pytest.mark.parametrize("ablation", [None, "meta", "ii"])
+def test_a_batch_step_encodes_only_its_view_and_aux_rows(monkeypatch, ablation):
+    graph, params, ops, cfg, batch = restricted_step(
+        monkeypatch, "batch", objectives.FULL_NEGATIVES_LIMIT, 2, ablation)
+    users, pos, neg = batch
+    inc = graph.binary_ui()
+    loss_u, loss_i = np.unique(users), np.unique(np.concatenate([pos, neg]))
+    meta_u, meta_i = ablation != "meta", ablation not in ("meta", "ii")
+    # A side's view rows add the neighbours the other side's meta context sums.
+    view_u = np.union1d(loss_u, inc[:, loss_i].nonzero()[0]) if meta_i else loss_u
+    view_i = np.union1d(loss_i, inc[loss_u].nonzero()[1]) if meta_u else loss_i
+    assert len(view_u) < 200 and len(view_i) < 300
+    auxes = [len(loss_u)] + [len(loss_i)] * (ablation != "ii")
+    counts = encoded_row_counts(monkeypatch, ops,
+                                lambda: run_forward(params, ops, batch=batch, cfg=cfg))
+    assert counts == [([len(view_u), len(view_i), *auxes],
+                       [r for r in (len(view_u), len(view_i), *auxes) for _ in range(2)])]
+
+
+def test_a_full_pool_step_and_evaluation_encode_every_row(monkeypatch):
+    graph, params, ops, cfg, batch = restricted_step(
+        monkeypatch, "full", objectives.FULL_NEGATIVES_LIMIT, 2, None)
+    counts = encoded_row_counts(monkeypatch, ops, lambda: (
+        run_forward(params, ops, batch=batch, cfg=cfg),
+        compute_final_embeddings(params, ops, cfg)))
+    assert counts == [([200, 300, 200, 300], [200, 200, 300, 300, 200, 200, 300, 300])] * 2
 
 
 @pytest.mark.parametrize("negatives", ["full", "batch"])
