@@ -18,8 +18,10 @@ contrastive negatives, no ablation and ``--ablate meta|uu|ii|cl``, all at the
 default temperature; then, with ``full`` negatives, f32 at temperature 0.01
 and f64 at 0.002, and f64 with 1 and with 3 encoder layers; f32 ``batch`` with
 1 and with 3 encoder layers; on each manifest
-of the second, f64 ``full`` and f32 ``batch``; 10 epochs, batch 512, and 2
-encoder layers unless stated) both sides run ``hgcl train`` from the same
+of the second, f64 ``full`` and f32 ``batch``; 10 epochs, 2 encoder layers
+unless stated, and a batch of 512 triples with ``full`` negatives and of 64
+with ``batch`` negatives, so that a ``batch`` step's loss rows are a small
+share of the nodes) both sides run ``hgcl train`` from the same
 directory with the same config,
 and ``model.ckpt``, ``metrics.csv`` and ``epochs.jsonl`` are compared byte
 for byte. The same directory matters: a checkpoint embeds its config, whose
@@ -32,10 +34,14 @@ and after each f64, full ablated training (``meta``, ``uu``, ``ii`` and
 the f64 ``full`` and the f32 ``batch`` unablated trainings each side runs
 ``hgcl eval --checkpoint out/model.ckpt --data <manifest> --k 5``, the CLI's
 path that casts the 64-bit checkpoint to the run's precision, and the two
-``metrics.csv`` files it writes are compared. The 200 users are fewer than
-``trainer.EVAL_BLOCK``, so every evaluation here scores one block; block
-boundaries are covered by ``tests/test_train_eval.py``'s blocked-ranking
-test and by the benchmark's HR@10 and NDCG@10 at 4000 and 8000 users.
+CSVs it prints are compared (a rev whose eval prints nothing wrote its CSV
+over ``out/metrics.csv``, which is read instead). An f64 evaluation of the
+200 users scores them in two blocks, as ``trainer.EVAL_BLOCK_BYTES`` bounds a
+block's candidate gather to 165 users at d = 32, and an f32 one in one block;
+block boundaries are covered by ``tests/test_train_eval.py``'s
+blocked-ranking test and by the benchmark's HR@10 and NDCG@10 at 4000 and
+8000 users. At 300 nodes no ``infonce_sum`` block reaches
+``autodiff.INFONCE_BLOCK_BYTES``.
 
 Prints one line per training, one per transform CSV, one per grad-check and
 one per eval, and exits 1 if any output differs. When a training's
@@ -64,23 +70,28 @@ ROOT = Path(__file__).resolve().parents[1]
 OUTPUTS = ("model.ckpt", "metrics.csv", "epochs.jsonl")
 SYNTHETIC = "data/manifest.txt"
 DERIVED = ("messy/categories.txt", "messy/relations.txt")
-# (precision, negatives, ablation, temperature, manifest, encoder layers)
-RUNS = [(precision, negatives, ablation, None, SYNTHETIC, 2)
+# A ``batch`` training's step runs its last layer, transfer and fusion on the
+# batch's rows only. At BATCH_SIZE["batch"] those are well under half of the
+# 200 users and 300 items; at 512 they would be nearly all.
+BATCH_SIZE = {"full": 512, "batch": 64}
+# (precision, negatives, ablation, temperature, manifest, encoder layers, batch size)
+RUNS = [(precision, negatives, ablation, None, SYNTHETIC, 2, BATCH_SIZE[negatives])
         for precision in ("f64", "f32") for negatives in ("full", "batch")
         for ablation in (None, "meta", "uu", "ii", "cl")]
-RUNS += [("f32", "full", None, 0.01, SYNTHETIC, 2), ("f64", "full", None, 0.002, SYNTHETIC, 2)]
+RUNS += [("f32", "full", None, 0.01, SYNTHETIC, 2, 512), ("f64", "full", None, 0.002, SYNTHETIC, 2, 512)]
 # 1 and 3 layers reach the fusion's edges: none at all, and fusion twice.
-RUNS += [("f64", "full", None, None, SYNTHETIC, layers) for layers in (1, 3)]
+RUNS += [("f64", "full", None, None, SYNTHETIC, layers, 512) for layers in (1, 3)]
 # With ``batch`` negatives the last layer runs on the batch's rows: as the
 # first layer, and after two fusions.
-RUNS += [("f32", "batch", None, None, SYNTHETIC, layers) for layers in (1, 3)]
-RUNS += [(precision, negatives, None, None, manifest, 2) for manifest in DERIVED
-         for precision, negatives in (("f64", "full"), ("f32", "batch"))]
+RUNS += [("f32", "batch", None, None, SYNTHETIC, layers, 64) for layers in (1, 3)]
+RUNS += [(precision, negatives, None, None, manifest, 2, BATCH_SIZE[negatives])
+         for manifest in DERIVED for precision, negatives in (("f64", "full"), ("f32", "batch"))]
 # The trainings after which grad-check runs on the same config.
-GRAD_CHECKED = [("f64", "full", ablation, None, SYNTHETIC, 2)
+GRAD_CHECKED = [("f64", "full", ablation, None, SYNTHETIC, 2, 512)
                 for ablation in (None, "meta", "uu", "ii", "cl")]
 # The trainings after which ``hgcl eval --k 5`` runs on the checkpoint.
-EVALUATED = [("f64", "full", None, None, SYNTHETIC, 2), ("f32", "batch", None, None, SYNTHETIC, 2)]
+EVALUATED = [("f64", "full", None, None, SYNTHETIC, 2, 512),
+             ("f32", "batch", None, None, SYNTHETIC, 2, 64)]
 CONFIG = """[data]
 manifest = {manifest}
 checkpoint = out/model.ckpt
@@ -93,7 +104,7 @@ layers = {layers}
 cl_negatives = {negatives}
 {temperature}[train]
 epochs = 10
-batch_size = 512
+batch_size = {batch_size}
 seed = 0
 """
 
@@ -173,10 +184,11 @@ def drift(base: Path, change: Path) -> str:
 
 def run_side(tree: Path, work: Path, keep: Path, run) -> None:
     """Train one configuration with ``tree`` and copy what it wrote to ``keep``."""
-    precision, negatives, ablation, temperature, manifest, layers = run
+    precision, negatives, ablation, temperature, manifest, layers, batch_size = run
     shutil.rmtree(work / "out", ignore_errors=True)
     (work / "run.cfg").write_text(CONFIG.format(
         manifest=manifest, precision=precision, negatives=negatives, layers=layers,
+        batch_size=batch_size,
         temperature=f"temperature = {temperature}\n" if temperature else ""), encoding="utf-8")
     hgcl(tree, work, "train", "--config", "run.cfg",
          *(("--ablate", ablation) if ablation else ()))
@@ -193,8 +205,11 @@ def run_side(tree: Path, work: Path, keep: Path, run) -> None:
                           + (f"ablate = {ablation}\n" if ablation else ""), encoding="utf-8")
         (keep / "grad-check.txt").write_bytes(hgcl(tree, work, "grad-check", "--config", config.name))
     if run in EVALUATED:
-        hgcl(tree, work, "eval", "--checkpoint", "out/model.ckpt", "--data", manifest, "--k", "5")
-        shutil.copy(work / "out" / "metrics.csv", keep / "eval-metrics.csv")
+        printed = hgcl(tree, work, "eval", "--checkpoint", "out/model.ckpt", "--data", manifest,
+                       "--k", "5")
+        # A tree whose eval prints nothing wrote its CSV over out/metrics.csv.
+        (keep / "eval-metrics.csv").write_bytes(
+            printed or (work / "out" / "metrics.csv").read_bytes())
 
 
 def main() -> int:
@@ -223,6 +238,7 @@ def main() -> int:
             label = f"train {run[0]} {run[1]:5s} --ablate {run[2] or '-'}"
             label += f" t={run[3]}" if run[3] else ""
             label += f" layers={run[5]}" if run[5] != 2 else ""
+            label += f" batch={run[6]}" if run[6] != 512 else ""
             groups = [(label + (f" {run[4]}" if run[4] != SYNTHETIC else ""), OUTPUTS)]
             if run == RUNS[0]:
                 groups += [(f"export-transforms --side {side}", (f"{side}17.csv",))

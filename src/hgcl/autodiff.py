@@ -19,9 +19,11 @@ log = logging.getLogger(__name__)
 # row_l2_normalize and treated as similarity 0 by infonce_sum.
 NORM_FLOOR = 1e-12
 
-# Anchor rows per block in infonce_sum's forward, which builds the loss and its
-# gradient per block: O(INFONCE_CHUNK * N) floats, never N x N, and backward builds none.
+# infonce_sum's forward builds the loss and its gradient one block of anchor
+# rows at a time, never N x N, and backward builds none. A block of N logits
+# per row holds at most INFONCE_CHUNK rows and at most INFONCE_BLOCK_BYTES.
 INFONCE_CHUNK = 512
+INFONCE_BLOCK_BYTES = 4 << 20
 
 
 class DiffError(RuntimeError):
@@ -307,7 +309,8 @@ class Tape:
         """Sum over anchors of InfoNCE ``logsumexp_j(C_ij / t) - C_ii / t`` over the
         cosine matrix ``C`` of anchor rows against target rows, aligned pairs on its
         diagonal. The forward computes the loss and both input gradients in blocks
-        of ``INFONCE_CHUNK`` anchor rows; the VJP only scales those by ``g / t``.
+        of at most ``INFONCE_CHUNK`` anchor rows and ``INFONCE_BLOCK_BYTES`` of
+        logits; the VJP only scales those by ``g / t``.
 
         No logit exceeds ``1 / t``. A block's first product, ``[a/t | -1/t] @ [b |
         1].T``, subtracts that bound, so ``exp`` cannot overflow and is the only
@@ -337,11 +340,12 @@ class Tape:
         b1 = np.hstack([bh, np.ones((n, 1), bh.dtype)])
         row_max = 2.0 * inv_tau > -0.5 * np.log(np.finfo(ah.dtype).tiny)
         rows, ga, gb = np.empty(n, ah.dtype), np.empty_like(ah), np.zeros_like(bh)
-        # Every block reuses one buffer: a fresh 512 x N array page-faults each time.
-        block = np.empty((min(n, INFONCE_CHUNK), n), ah.dtype)
-        for i in range(0, n, INFONCE_CHUNK):
-            blk = slice(i, i + INFONCE_CHUNK)
-            z = np.matmul(a1[blk], b1.T, out=block[: min(n - i, INFONCE_CHUNK)])  # logits - 1/t
+        step = max(1, min(INFONCE_CHUNK, INFONCE_BLOCK_BYTES // max(1, n * ah.itemsize)))
+        # Every block reuses one buffer: a fresh one page-faults each time.
+        block = np.empty((min(n, step), n), ah.dtype)
+        for i in range(0, n, step):
+            blk = slice(i, i + step)
+            z = np.matmul(a1[blk], b1.T, out=block[: min(n - i, step)])  # logits - 1/t
             if row_max:
                 mx = z.max(axis=1)
                 z -= mx[:, None]
@@ -353,12 +357,15 @@ class Tape:
             # Softmax minus the identity: row i against bh, and its transpose against ah.
             ga[blk] = zs[:, :-1] * inv_s - bh[blk]
             gb += z.T @ (ah[blk] * inv_s)
+        block = z = None  # so that the normalisation's temporaries do not add to it
         gb -= ah
         # Each row adds back the bound and subtracts its aligned logit C_ii / t.
         rows += (1.0 - (ah * bh).sum(axis=1)) * inv_tau
         # Row i of (softmax - I) * C sums to ah_i . ga_i and column j to bh_j . gb_j.
-        da = (ga - ah * (ah * ga).sum(axis=1)[:, None]) * inv_a[:, None]
-        db = (gb - bh * (bh * gb).sum(axis=1)[:, None]) * inv_b[:, None]
+        for grad, h, inv in ((ga, ah, inv_a), (gb, bh, inv_b)):
+            grad -= h * (h * grad).sum(axis=1)[:, None]
+            grad *= inv[:, None]
+        da, db = ga, gb
 
         def vjp(g):
             c = g * inv_tau

@@ -15,7 +15,7 @@ from .dataset import BprSampler
 from .model import forward_model, init_params, transform_matrix_for_node
 from .meta import write_transform_csv
 from .synthetic import generate_synthetic
-from .trainer import evaluate, load_bundle, run_seeds, train, write_metrics
+from .trainer import evaluate, load_bundle, run_seeds, train
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +49,8 @@ def build_parser() -> _Parser:
                          default=None, help="repeatable; disable a model component")
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset manifest")
+    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset manifest; "
+                            "prints the metrics CSV")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True, help="dataset manifest path")
     p_eval.add_argument("--k", type=count, default=10)
@@ -113,9 +114,10 @@ def _cmd_eval(args) -> int:
     ckpt, cfg, bundle, params = _load_for_checkpoint(args.checkpoint, args.data)
     cfg = replace(cfg, top_k=args.k)
     report = evaluate(params, bundle.ops, cfg, bundle.dataset)
-    write_metrics(report, cfg.metrics_csv)
-    log.info("hr@%d=%.4f ndcg@%d=%.4f over %d users; metrics at %s",
-             args.k, report.hr, args.k, report.ndcg, report.evaluated, cfg.metrics_csv)
+    # Printed, not written: the snapshot's metrics_csv is the training's own file.
+    print("\n".join(report.csv_lines()))
+    log.info("hr@%d=%.4f ndcg@%d=%.4f over %d users",
+             args.k, report.hr, args.k, report.ndcg, report.evaluated)
     return 0
 
 

@@ -59,10 +59,11 @@ def init_params(m: int, n: int, dim: int, rank: int, seed, dtype=np.float64) -> 
 class ForwardCache:
     """A forward pass's tensors. ``transforms`` holds each side's personalized
     transforms in ``SIDES`` order (user, item), None where the side has no
-    transfer. With a batch, a side whose contrastive pool is not ``full`` has
-    ``e_*_final`` and its transforms only at its loss rows, the rows its loss
-    terms read (the batch's users, or its positive and negative items), in
-    sorted node order; otherwise they hold every node."""
+    transfer or the forward did not keep them. With a batch, a side whose
+    contrastive pool is not ``full`` has ``e_*_final`` and its transforms only
+    at its loss rows, the rows its loss terms read (the batch's users, or its
+    positive and negative items), in sorted node order; otherwise they hold
+    every node."""
 
     transforms: tuple[PersonalTransforms | None, PersonalTransforms | None]
     e_u_final: Tensor
@@ -90,7 +91,8 @@ def cl_negative_pools(ops: GraphOperators, cfg: RunConfig) -> tuple[str, str]:
 
 
 def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cfg: RunConfig,
-                  batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> ForwardCache:
+                  batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                  keep_transforms: bool = True) -> ForwardCache:
     """Encode, transfer, fuse, and (when a batch is given) assemble the loss.
 
     With a batch, a side whose contrastive pool is not ``full`` runs transfer
@@ -100,7 +102,9 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
     side's meta context sums, or at every node if that context reads every row.
     The L2 term takes, in ``leaves`` order, every leaf the forward has read
     other than the PReLU slopes: an ablated component's parameters are not
-    read, so they get neither the penalty nor a gradient.
+    read, so they get neither the penalty nor a gradient. Without
+    ``keep_transforms`` a side's transforms are dropped once applied, so an
+    unrecorded tape frees them before the other side's transfer.
     """
     hp = cfg.hyper
     pools = cl_negative_pools(ops, cfg)
@@ -123,23 +127,24 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
 
     # Per side: the view, auxiliary and transferred auxiliary embeddings at its
     # loss rows (every node when None), and its transforms.
-    streams, transforms = [], []
+    streams, transforms = [], [None, None]
     for s, side in enumerate(SIDES):
         (e_view, e_aux), (e_other, _) = encoded[s], encoded[1 - s]
         side_rows, other_rows, incidence = rows[s], view_rows[1 - s], incidences[s]
         if side_rows is not None and e_view.shape[0] > len(side_rows):
             e_view = tape.gather_rows(e_view, side_rows if view_rows[s] is None
                                       else np.searchsorted(view_rows[s], side_rows))
-        tr = e_aux_m = None
+        e_aux_m = None
         if metas[s]:
             incidence = (incidence.at_rows(side_rows) if other_rows is None  # else columns too
                          else SparseMatrix(incidence.mat[side_rows][:, other_rows]))
-            knowledge = extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other)
-            tr = generate_transforms(tape, knowledge, _mlp(leaves, f"{side}_mlp1"),
-                                     _mlp(leaves, f"{side}_mlp2"))
-            e_aux_m = apply_transform(tape, tr, e_aux, leaves[f"{side}_transfer_slope"])
+            transforms[s] = generate_transforms(
+                tape, extract_meta_knowledge(tape, e_view, e_aux, incidence, e_other),
+                _mlp(leaves, f"{side}_mlp1"), _mlp(leaves, f"{side}_mlp2"))
+            e_aux_m = apply_transform(tape, transforms[s], e_aux, leaves[f"{side}_transfer_slope"])
+            if not keep_transforms:
+                transforms[s] = None
         streams.append((e_view, e_aux, e_aux_m))
-        transforms.append(tr)
 
     # Both transfers run before either fusion, and both contrastive terms after
     # BPR. The node order fixes the order in which gradients add up in the view
@@ -169,15 +174,16 @@ def forward_model(tape: Tape, leaves: dict[str, Tensor], ops: GraphOperators, cf
 
 
 def _forward_all_rows(params: dict[str, np.ndarray], ops: GraphOperators,
-                      cfg: RunConfig) -> ForwardCache:
+                      cfg: RunConfig, keep_transforms: bool) -> ForwardCache:
     tape = Tape(record=False)  # never differentiated: keep no intermediate
-    return forward_model(tape, {k: tape.leaf(v, name=k) for k, v in params.items()}, ops, cfg)
+    return forward_model(tape, {k: tape.leaf(v, name=k) for k, v in params.items()}, ops, cfg,
+                         keep_transforms=keep_transforms)
 
 
 def compute_final_embeddings(params: dict[str, np.ndarray], ops: GraphOperators,
                              cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run the forward pass without a batch and read off the fused embeddings."""
-    cache = _forward_all_rows(params, ops, cfg)
+    cache = _forward_all_rows(params, ops, cfg, keep_transforms=False)
     return cache.e_u_final.value, cache.e_i_final.value
 
 
@@ -186,7 +192,7 @@ def transform_matrix_for_node(params: dict[str, np.ndarray], ops: GraphOperators
     """Materialized d x d personalized transform of one node."""
     if side not in SIDES:
         raise ValueError("side must be 'user' or 'item'")
-    tr = _forward_all_rows(params, ops, cfg).transforms[SIDES.index(side)]
+    tr = _forward_all_rows(params, ops, cfg, keep_transforms=True).transforms[SIDES.index(side)]
     if tr is None:
         raise ValueError(f"model was trained without the meta network or the {side}-{side} view")
     if not 0 <= node < tr.w1.shape[0]:

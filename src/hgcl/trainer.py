@@ -21,9 +21,11 @@ from .optim import AdamState, adam_step
 
 log = logging.getLogger(__name__)
 
-# Test users per block in evaluate_ranks: its candidate gather is
-# O(EVAL_BLOCK * 99 * d) floats, never (users, 99, d).
+# evaluate_ranks scores the candidates one block of test users at a time, never
+# gathering (users, 99, d): a block's gather holds at most EVAL_BLOCK users and
+# at most EVAL_BLOCK_BYTES.
 EVAL_BLOCK = 512
+EVAL_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -68,8 +70,10 @@ def evaluate_ranks(e_user: np.ndarray, e_item: np.ndarray,
         raise ValueError("dataset has no evaluation rows")
     pos_scores = (e_user[users] * e_item[pos]).sum(axis=1)
     neg_scores = np.empty(negs.shape, np.result_type(e_user, e_item))
-    for i in range(0, len(users), EVAL_BLOCK):
-        blk = slice(i, i + EVAL_BLOCK)
+    gathered = max(1, negs.shape[1] * e_item.shape[1] * e_item.itemsize)  # bytes per user
+    step = max(1, min(EVAL_BLOCK, EVAL_BLOCK_BYTES // gathered))
+    for i in range(0, len(users), step):
+        blk = slice(i, i + step)
         neg_scores[blk] = np.einsum("ud,ukd->uk", e_user[users[blk]], e_item[negs[blk]])
     beats = (neg_scores > pos_scores[:, None]) | (
         (neg_scores == pos_scores[:, None]) & (negs < pos[:, None]))

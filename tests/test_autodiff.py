@@ -299,13 +299,17 @@ INFONCE_BRANCHES = [(np.float64, 0.3, 1e-12), (np.float64, 0.004, 1e-10),
                     (np.float32, 0.3, 2e-5), (np.float32, 0.03, 5e-4)]
 
 
-def infonce_case(chunk, dtype, tau, atol):
-    """A closed-form case; ids name the chunk, then any branch but the first."""
+# The module constant that limits infonce_sum's blocks to 4 rows in a case,
+# by its id; None keeps the defaults.
+INFONCE_LIMITS = {"default": None, "chunk4": "INFONCE_CHUNK", "bytes4": "INFONCE_BLOCK_BYTES"}
+
+
+def infonce_case(name, dtype, tau, atol):
+    """A closed-form case; ids name the block limit, then any branch but the first."""
     row_max = 2 / tau > -0.5 * np.log(np.finfo(dtype).tiny)
     branch = f"-{np.dtype(dtype).name}-t{tau}-{'row_max' if row_max else 'bound'}"
-    name = "default" if chunk is None else f"chunk{chunk}"
     first = (dtype, tau, atol) == INFONCE_BRANCHES[0]
-    return pytest.param(chunk, dtype, tau, atol, id=name + ("" if first else branch))
+    return pytest.param(INFONCE_LIMITS[name], dtype, tau, atol, id=name + ("" if first else branch))
 
 
 def infonce_closed_form(a, b, tau, g=1.0):
@@ -340,17 +344,20 @@ def clustered_pairs(rng, n, d, tau, sign=1.0):
     return (sign * u + spread * rng.normal(size=(n, d)), u + spread * rng.normal(size=(n, d)))
 
 
-@pytest.mark.parametrize("chunk, dtype, tau, atol", [
-    infonce_case(chunk, *case) for chunk in (None, 4) for case in INFONCE_BRANCHES])
-def test_infonce_rows_matches_dense_closed_form(monkeypatch, chunk, dtype, tau, atol):
+@pytest.mark.parametrize("limit, dtype, tau, atol", [
+    infonce_case(name, *case) for name in INFONCE_LIMITS for case in INFONCE_BRANCHES])
+def test_infonce_rows_matches_dense_closed_form(monkeypatch, limit, dtype, tau, atol):
     # Value and gradients against the closed form, with one zero-norm anchor
     # row and one zero-norm target row (similarity 0, zero gradient), on both
-    # sides of the row-max threshold. At chunk 4 the 9 rows run as blocks of
-    # 4, 4 and 1: the zero anchor opens the second block and the zero target
-    # is the last one. Two nodes read the loss, so its VJP gets their summed,
-    # non-unit g.
-    if chunk is not None:
-        monkeypatch.setattr(autodiff, "INFONCE_CHUNK", chunk)
+    # sides of the row-max threshold. At a limit of 4 rows, set by the chunk or
+    # by a byte cap that holds 4 rows of 9 logits but not 5, the 9 rows run as
+    # blocks of 4, 4 and 1: the zero anchor opens the second block and the zero
+    # target is the last one. Two nodes read the loss, so its VJP gets their
+    # summed, non-unit g.
+    if limit == "INFONCE_CHUNK":
+        monkeypatch.setattr(autodiff, limit, 4)
+    elif limit is not None:
+        monkeypatch.setattr(autodiff, limit, (5 * 9 - 1) * np.dtype(dtype).itemsize)
     a, b = clustered_pairs(np.random.default_rng(11), 9, 5, tau)
     a[4] = 0.0
     b[8] = 0.0
@@ -438,6 +445,46 @@ def test_infonce_rows_memory_stays_below_one_square_matrix():
         tracemalloc.stop()
     assert da.shape == db.shape == (n, d)
     assert peak < n * n * 8, f"peak {peak} B"
+
+
+def test_infonce_forward_peak_is_one_capped_block_plus_rows():
+    # At 4096 f64 rows a 512-row block of logits would take 16 MiB. The forward
+    # holds one block of at most INFONCE_BLOCK_BYTES, and besides it the
+    # normalised rows, their bound-extended copies and the two gradients, each
+    # (n, d), plus smaller temporaries.
+    n, d = 4096, 32
+    assert autodiff.INFONCE_CHUNK * n * 8 > 2 * autodiff.INFONCE_BLOCK_BYTES
+    rng = np.random.default_rng(16)
+    tape = Tape()
+    a_leaf, b_leaf = (tape.leaf(rng.normal(size=(n, d))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        tape.infonce_sum(a_leaf, b_leaf, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < autodiff.INFONCE_BLOCK_BYTES + 8 * n * d * 8, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("dtype, n", [(np.float32, 2048), (np.float64, 1024), (np.float64, 600)])
+def test_infonce_pool_within_the_cap_runs_in_full_chunks(monkeypatch, dtype, n):
+    # A pool whose INFONCE_CHUNK-row block fits the byte cap (exactly, at 2048
+    # f32 and 1024 f64 rows) runs in INFONCE_CHUNK-row blocks, with a tail at
+    # 600 rows: its loss and gradients are the bytes of an uncapped run.
+    assert autodiff.INFONCE_CHUNK * n * np.dtype(dtype).itemsize <= autodiff.INFONCE_BLOCK_BYTES
+    rng = np.random.default_rng(17)
+    a, b = (rng.normal(size=(n, 16)).astype(dtype) for _ in range(2))
+
+    def run():
+        tape = Tape()
+        a_leaf, b_leaf = tape.leaf(a), tape.leaf(b)
+        loss = tape.infonce_sum(a_leaf, b_leaf, 0.2)
+        return (loss.value, *backward(tape, loss, [a_leaf, b_leaf]))
+
+    capped = run()
+    monkeypatch.setattr(autodiff, "INFONCE_BLOCK_BYTES", 1 << 62)
+    for got, want in zip(capped, run()):
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

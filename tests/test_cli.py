@@ -60,13 +60,19 @@ def test_train_writes_all_outputs(pipeline):
         assert (root / "out" / name).exists()
 
 
-def test_eval_exit_zero_and_metrics(pipeline):
+def test_eval_exit_zero_and_metrics(pipeline, capsys):
+    # The CSV goes to stdout; the training's metrics file, which the checkpoint's
+    # config snapshot names, stays as the training wrote it.
     root, _ = pipeline
+    trained = (root / "out" / "metrics.csv").read_bytes()
+    capsys.readouterr()
     code = cli_main(["eval", "--checkpoint", str(root / "out" / "model.ckpt"),
-                     "--data", str(root / "data" / "manifest.txt"), "--k", "10"])
+                     "--data", str(root / "data" / "manifest.txt"), "--k", "5"])
     assert code == 0
-    text = (root / "out" / "metrics.csv").read_text()
-    assert text.startswith("metric,group,value")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "metric,group,value"
+    assert lines[1].startswith("hr@5,all,") and lines[2].startswith("ndcg@5,all,")
+    assert (root / "out" / "metrics.csv").read_bytes() == trained
 
 
 def test_export_transforms_round_trip(pipeline):

@@ -185,6 +185,61 @@ def test_evaluation_peaks_below_one_candidate_gather(tmp_path):
     assert peak < gather
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_candidate_gather_stays_under_the_byte_cap(monkeypatch, dtype):
+    # At d = 32 a 512-user gather takes 13 MiB at f64 and 6.5 MiB at f32: each
+    # block's gather is cut to the EVAL_BLOCK_BYTES cap, and the ranks stay
+    # the single einsum's.
+    import hgcl.trainer as train_mod
+    users, n, d = 1500, 4000, 32
+    rng = np.random.default_rng(8)
+    pos = rng.integers(0, n, users)
+    negs = np.sort(rng.integers(0, n, (users, 99)), axis=1)
+    e_user, e_item = (rng.standard_normal((k, d)).astype(dtype) for k in (users, n))
+    ds = InteractionDataset(m=users, n=n, train_edges=np.zeros((0, 2), dtype=np.int64),
+                            test_users=np.arange(users), test_positive=pos, eval_negatives=negs,
+                            user_groups=[np.arange(users)],
+                            train_counts=np.ones(users, dtype=np.int64))
+    row = 99 * d * np.dtype(dtype).itemsize
+    assert train_mod.EVAL_BLOCK * row > train_mod.EVAL_BLOCK_BYTES
+    gathers = []
+    einsum = np.einsum
+    monkeypatch.setattr(train_mod.np, "einsum",
+                        lambda spec, *ops: gathers.append(ops[1].nbytes) or einsum(spec, *ops))
+    _, ranks = evaluate_ranks(e_user, e_item, ds)
+    step = train_mod.EVAL_BLOCK_BYTES // row
+    assert gathers == [row * min(step, users - i) for i in range(0, users, step)]
+    monkeypatch.undo()
+    assert ranks.tolist() == one_call_ranks(e_user, e_item, ds)[0].tolist()
+
+
+def test_all_rows_forward_keeps_no_transform_alive(small_manifest, tmp_path, monkeypatch):
+    # The evaluation forward drops each side's per-node transforms once it has
+    # applied them: none is alive at either fusion, nor after evaluation.
+    import hgcl.model as model_mod
+    cfg = small_config(small_manifest, tmp_path)
+    bundle = load_bundle(cfg)
+    hp = cfg.hyper
+    params = init_params(bundle.data.m, bundle.data.n, hp.dim, hp.rank, 0, cfg.dtype)
+    made, alive_at_fusion = [], []
+    generate, fuse = model_mod.generate_transforms, model_mod.fuse_final
+
+    def watched_generate(*args):
+        tr = generate(*args)
+        made.extend(weakref.ref(t.value) for t in (tr.w1, tr.w2))
+        return tr
+
+    def watched_fuse(*args):
+        alive_at_fusion.append(sum(ref() is not None for ref in made))
+        return fuse(*args)
+
+    monkeypatch.setattr(model_mod, "generate_transforms", watched_generate)
+    monkeypatch.setattr(model_mod, "fuse_final", watched_fuse)
+    evaluate(params, bundle.ops, cfg, bundle.dataset)
+    assert len(made) == 4 and alive_at_fusion == [0, 0]
+    assert all(ref() is None for ref in made)
+
+
 def test_no_training_tape_is_alive_at_evaluation(small_manifest, tmp_path, monkeypatch):
     # The last step's tape, with its leaves, cache and gradients, is freed
     # before evaluation: it never holds a training tape next to its own forward.
