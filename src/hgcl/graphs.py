@@ -3,9 +3,7 @@
 Every edge list is a sorted, unique ``(E, 2)`` int64 array, from file to CSR."""
 from __future__ import annotations
 
-import io
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,27 +19,15 @@ class EdgeFileError(ValueError):
     """Malformed or empty edge file."""
 
 
-# An id of at most 18 ASCII digits is below 2**63.
-_PAIR = r"[0-9]{1,18}\t[0-9]{1,18}"
-# A file of lines that are empty, start with '#' or are one such pair, with at
-# least one pair: what _parse_pairs reads in one numpy call.
-_PLAIN_FILE = re.compile(rf"(?:(?:#[^\n]*)?\n)*{_PAIR}(?:\n(?:#[^\n]*|{_PAIR})?)*")
-
-
 def _parse_pairs(path: str | Path) -> np.ndarray:
     """The two leading ids of each line as an ``(E, 2)`` int64 array, in file order.
 
     Blank and ``#`` lines are skipped, fields are tab-separated and ids are read
-    by ``int()``. A file of plain pairs (``_PLAIN_FILE``) is parsed by numpy at
-    once; any other goes line by line, and a refused file is scanned for its
-    first fault.
+    by ``int()``. A refused file is scanned line by line for its first fault.
     """
     path = Path(path)
     # Bytes that are not UTF-8 become lone surrogates, which int() refuses.
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    if _PLAIN_FILE.fullmatch(text):
-        return np.loadtxt(io.StringIO(text), np.int64, comments="#", delimiter="\t", ndmin=2)
-    lines = text.split("\n")
+    lines = path.read_text(encoding="utf-8", errors="surrogateescape").split("\n")
     data = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     heads = [field for line in data for field in line.split("\t", 2)[:2]]
     try:  # a line with one field fails the reshape, an id past int64 the int64 cast

@@ -1,6 +1,5 @@
 """Edge-file ingestion and normalized adjacency construction."""
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -68,40 +67,17 @@ def test_comments_and_extra_fields_are_tolerated(tmp_path):
     assert_edges(edges, {(0, 1), (2, 3)})
 
 
-PLAIN_FILES = ["0\t1\n2\t3", "# header\n\n007\t0008\n#\tnote\n\n5\t000\n",
-               f"{10**18 - 1}\t{'0' * 18}\n# \udcff not UTF-8\n1\t2\n\n"]
-
-
-@pytest.mark.parametrize("text", PLAIN_FILES, ids=["pairs", "comments_and_zeros", "18_digits"])
-def test_plain_files_parse_in_one_call_as_line_by_line(tmp_path, monkeypatch, text):
-    # Comment and blank lines, leading zeros and 18-digit ids: the one numpy
-    # call gives the line path's array, dtype and shape included.
-    path = tmp_path / "e.tsv"
-    path.write_text(text, encoding="utf-8", errors="surrogateescape")
-    calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(graphs.np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
-    bulk = graphs._parse_pairs(path)
-    assert calls == [1]
-    monkeypatch.setattr(graphs, "_PLAIN_FILE", re.compile(r"(?!)"))  # matches nothing
-    by_line = graphs._parse_pairs(path)
-    assert calls == [1]
-    assert bulk.dtype == by_line.dtype == np.int64
-    assert bulk.shape == by_line.shape and bulk.tobytes() == by_line.tobytes()
-
-
 @pytest.mark.parametrize("text, expected", [
     ("0\t1\t2\n3\t4\n", [[0, 1], [3, 4]]),           # a third field
     ("+5\t1\n", [[5, 1]]),                             # a sign
-    ("5\x00\t1\n", "non-integer id in ['5\\x00', '1']"),  # numpy would drop the NUL
+    ("5\x00\t1\n", "non-integer id in ['5\\x00', '1']"),  # a NUL
     (f"{10**18}\t1\n", [[10**18, 1]]),                 # 19 digits
     (" 5\t1\r\n", [[5, 1]]),                          # whitespace that strip() removes
     ("# only a comment\n", []),
 ], ids=["third_field", "sign", "nul", "19_digits", "whitespace", "no_pair"])
-def test_other_files_take_the_line_path(tmp_path, monkeypatch, text, expected):
+def test_pair_parse_reads_or_refuses(tmp_path, text, expected):
     path = tmp_path / "e.tsv"
     path.write_text(text, encoding="utf-8")
-    monkeypatch.setattr(graphs.np, "loadtxt", None)  # the bulk path would fail on a call
     if isinstance(expected, str):
         with pytest.raises(EdgeFileError) as err:
             graphs._parse_pairs(path)
